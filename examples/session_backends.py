@@ -83,9 +83,10 @@ def main() -> None:
     # Each machine's sub-scheduler lives in a worker process for the
     # whole session; only per-burst op streams and touched logs cross
     # the pipe. On multicore hardware this is the backend with real
-    # parallelism (the others are GIL-bound); results stay bit-identical
-    # regardless. The session's finish hook syncs the worker state back,
-    # so the scheduler is normal in-memory state afterwards.
+    # parallelism (the others run on one core); results stay
+    # bit-identical regardless. The session's finish hook syncs the
+    # worker state back, so the scheduler is normal in-memory state
+    # afterwards.
     sched = ReservationScheduler(MACHINES, gamma=8)
     result = Session(
         sched, seq,

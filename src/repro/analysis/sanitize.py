@@ -46,6 +46,7 @@ __all__ = [
     "SanitizedDict",
     "UnjournaledMutationError",
     "install_sanitizer",
+    "resolve_journal",
     "sanitize_enabled",
 ]
 
@@ -59,6 +60,25 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 def sanitize_enabled() -> bool:
     """Is the ``REPRO_SANITIZE`` environment switch on?"""
     return os.environ.get(SANITIZE_ENV, "").strip().lower() in _TRUTHY
+
+
+#: the settable undo-journal representations
+JOURNAL_IMPLS = ("arena", "arena-sanitize")
+
+
+def resolve_journal(journal: str) -> str:
+    """Validate a ``journal=`` argument and apply the environment switch.
+
+    Every scheduler constructor that takes ``journal=`` calls this, so
+    each layer of a stack reports the representation its inners run:
+    ``"arena"`` becomes ``"arena-sanitize"`` under ``REPRO_SANITIZE=1``.
+    """
+    if journal not in JOURNAL_IMPLS:
+        raise ValueError(
+            f"journal must be 'arena' or 'arena-sanitize', got {journal!r}")
+    if journal == "arena" and sanitize_enabled():
+        return "arena-sanitize"
+    return journal
 
 
 class UnjournaledMutationError(RuntimeError):

@@ -19,11 +19,9 @@ a fifth enforces the annotation coverage the strict mypy gate assumes:
   define ``__getstate__``/``__setstate__`` before storing closures,
   lambdas, or process resources on ``self`` (the PR 4 stale-closure bug
   shape: a pickled closure silently rebinds to a dead scheduler).
-- ``rollback-safety`` (RBK001/RBK002) — ``apply_*``/``_batch_*``
-  request paths may not swallow broad exceptions (a swallowed failure
-  leaves half-applied state that rollback never sees), and a function
-  holding an open arena ``mark()`` scope may not mutate journaled
-  containers without journaling them.
+- ``rollback-safety`` (RBK001) — ``apply_*``/``_batch_*`` request
+  paths may not swallow broad exceptions (a swallowed failure leaves
+  half-applied state that rollback never sees).
 - ``typing-coverage`` (TYP001/TYP002) — functions and methods in the
   strictly-typed packages must carry full parameter and return
   annotations, so the mypy gate in CI checks real signatures instead of
@@ -210,7 +208,7 @@ SCHEDULER_ATTRS = INTERVAL_ATTRS | frozenset({
 })
 
 COMMON_EXEMPT = (
-    "__init__", "__getstate__", "__setstate__", "_undo_*", "_closure_*",
+    "__init__", "__getstate__", "__setstate__", "_undo_*",
 )
 
 #: class name -> contract; applies to classes with these names in any
@@ -392,7 +390,7 @@ RESOURCE_CTORS = frozenset({
 })
 
 
-def _closure_factory_methods(cls: ast.ClassDef) -> set[str]:
+def _callable_factory_methods(cls: ast.ClassDef) -> set[str]:
     """Methods that build and hand out closures (nested def / lambda)."""
     factories: set[str] = set()
     for method in _class_methods(cls):
@@ -447,7 +445,7 @@ class PickleBoundaryRule(Rule):
             names = {m.name for m in _class_methods(cls)}
             if "__getstate__" in names or "__setstate__" in names:
                 continue
-            factories = _closure_factory_methods(cls)
+            factories = _callable_factory_methods(cls)
             for method, attr, value, node in _self_attr_assignments(cls):
                 nested = {
                     n.name for n in ast.walk(method)
@@ -497,16 +495,11 @@ class PickleBoundaryRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# rollback-safety (RBK001 / RBK002)
+# rollback-safety (RBK001)
 # ---------------------------------------------------------------------------
 
 #: request-path function names the broad-except check applies to
 REQUEST_PATH_PATTERNS = ("apply*", "_apply*", "_batch*", "insert", "delete")
-
-#: union of every journaled attr, for the mark-scope check
-ALL_JOURNALED_ATTRS = frozenset().union(
-    *(c.attrs for c in JOURNAL_CONTRACTS.values()))
-
 
 def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
     def broad(t: ast.expr) -> bool:
@@ -522,10 +515,7 @@ def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
 
 class RollbackSafetyRule(Rule):
     name = "rollback-safety"
-    description = (
-        "request paths must not swallow broad exceptions, and arena "
-        "mark() scopes must journal their mutations"
-    )
+    description = "request paths must not swallow broad exceptions"
     scopes = ("reservation/", "multimachine/", "core/")
 
     def check(self, sf: SourceFile) -> Iterator[Finding]:
@@ -548,21 +538,6 @@ class RollbackSafetyRule(Rule):
                         "swallowed mid-request failure leaves "
                         "half-applied state that rollback never sees — "
                         "re-raise after cleanup or narrow the handler",
-                    )
-            opens_mark = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "mark"
-                and not node.args and not node.keywords
-                for node in ast.walk(fn)
-            )
-            if opens_mark and not _acknowledges_journal(fn):
-                for mut, desc in _iter_mutations(fn, ALL_JOURNALED_ATTRS):
-                    yield self.finding(
-                        sf, mut, "RBK002",
-                        f"{fn.name} mutates journaled container ({desc}) "
-                        "inside an arena mark() scope without journaling; "
-                        "a rollback to the mark would miss this mutation",
                     )
 
 

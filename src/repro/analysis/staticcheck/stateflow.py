@@ -6,7 +6,7 @@ disciplines the runtime's correctness story rests on:
 
 - ``exception-flow`` (EXC001/EXC002) — raise-path analysis over the
   functions reachable inside an open journal scope (a per-request
-  arena ``mark()`` or an atomic-batch log). EXC001 flags a
+  journal or an atomic-batch log). EXC001 flags a
   journaled-container mutation that an exception can interrupt
   *before* its journal entry is recorded (the journal-before-mutate
   ordering contract: rollback replays only what was captured). EXC002
@@ -92,11 +92,7 @@ def _opens_scope(fn: ast.AST) -> bool:
     for node in iter_own_nodes(fn):
         if not isinstance(node, ast.Call):
             continue
-        name = _call_name(node)
-        if name in _SCOPE_OPENERS:
-            return True
-        if (name == "mark" and isinstance(node.func, ast.Attribute)
-                and not node.args and not node.keywords):
+        if _call_name(node) in _SCOPE_OPENERS:
             return True
     return False
 

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Callable, Iterable, Mapping
 
 from ..alignment.align import align_job
-from ..analysis.sanitize import sanitize_enabled
+from ..analysis.sanitize import resolve_journal
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from ..multimachine.delegation import DelegatingScheduler
 from ..reservation.trimming import TrimmedReservationScheduler
@@ -61,9 +61,7 @@ class ReservationScheduler(ReallocatingScheduler):
     journal:
         Undo-journal representation of the per-machine reservation
         schedulers: ``"arena"`` (default — tuple-opcode entries on a
-        reusable arena), ``"closure"`` (the original closure journal,
-        kept as the rollback-equivalence test oracle), or
-        ``"arena-sanitize"`` (arena plus checking container proxies,
+        reusable arena) or ``"arena-sanitize"`` (arena plus checking container proxies,
         the runtime journal-coverage oracle; also selected by
         ``REPRO_SANITIZE=1`` in the environment).
 
@@ -92,8 +90,7 @@ class ReservationScheduler(ReallocatingScheduler):
         journal: str = "arena",
     ) -> None:
         super().__init__(num_machines=num_machines)
-        if journal == "arena" and sanitize_enabled():
-            journal = "arena-sanitize"
+        journal = resolve_journal(journal)
         self.gamma = gamma
         self.policy = policy
         self.journal_impl = journal
@@ -214,8 +211,7 @@ class ReservationScheduler(ReallocatingScheduler):
         self,
         requests: Batch | Iterable[Request],
         *,
-        workers: str | None = None,
-        parallel: bool = False,
+        workers: str = "serial",
         semantics: str = "strict",
     ) -> BatchResult:
         """Drive a burst shard-first through the delegation layer.
@@ -223,7 +219,7 @@ class ReservationScheduler(ReallocatingScheduler):
         The alignment step is a pure per-job function, so the whole
         burst is pre-aligned here and handed to
         :meth:`~repro.multimachine.delegation.DelegatingScheduler.
-        apply_batch_sharded` (``workers`` selects serial / thread /
+        apply_batch_sharded` (``workers`` selects serial or
         process-resident shard workers); this layer then re-costs each
         request against its own view (original jobs, hence original —
         not aligned — max spans) exactly as sequential processing would,
@@ -242,8 +238,7 @@ class ReservationScheduler(ReallocatingScheduler):
             for r in batch
         ])
         inner = self.delegator.apply_batch_sharded(
-            aligned, workers=workers, parallel=parallel, record=False,
-            semantics=semantics)
+            aligned, workers=workers, record=False, semantics=semantics)
         if inner.failed:
             return BatchResult(
                 costs=[], net=None, size=len(batch), atomic=True,

@@ -97,7 +97,7 @@ from .requests import Batch, DeleteJob, InsertJob, Request
 #: the worker flavors of ``apply_batch_sharded`` — defined once here
 #: (the hook-point layer) and imported by the delegation layer, the
 #: session backends, and the CLI's argparse choices
-SHARD_WORKER_MODES = ("serial", "threads", "processes")
+SHARD_WORKER_MODES = ("serial", "processes")
 
 #: batch placement semantics — ``"strict"`` pins placements/ledger to
 #: sequential equivalence; ``"flexible"`` keeps only the
@@ -112,34 +112,6 @@ def resolve_batch_semantics(semantics: str) -> str:
         raise InvalidRequestError(
             f"semantics must be one of {BATCH_SEMANTICS}, got {semantics!r}")
     return semantics
-
-
-def resolve_shard_worker_mode(workers: str | None,
-                              parallel: bool = False) -> str:
-    """Fold the deprecated ``parallel`` flag into one validated mode.
-
-    An explicit ``workers`` always wins; ``parallel=True`` alone is the
-    legacy spelling of ``"threads"`` and raises a
-    :class:`DeprecationWarning` pointing at ``workers=`` (the CLI's
-    ``--shard-parallel`` alias warns the same way toward
-    ``--shard-workers``). Every ``workers=`` entry point (delegation,
-    session backend, execution plan) resolves through here, so a new
-    mode needs adding in exactly one place.
-    """
-    if workers is None and parallel:
-        import warnings
-
-        warnings.warn(
-            "parallel=True is deprecated; use workers='threads' "
-            "(or workers='processes' for real parallelism)",
-            DeprecationWarning, stacklevel=3,
-        )
-    mode = workers if workers is not None else (
-        "threads" if parallel else "serial")
-    if mode not in SHARD_WORKER_MODES:
-        raise ValueError(
-            f"workers must be one of {SHARD_WORKER_MODES}, got {mode!r}")
-    return mode
 
 
 class _BatchContext:
@@ -740,8 +712,7 @@ class ReallocatingScheduler(abc.ABC):
         self,
         requests: Batch | Iterable[Request],
         *,
-        workers: str | None = None,
-        parallel: bool = False,
+        workers: str = "serial",
         semantics: str = "strict",
     ) -> BatchResult:
         """Apply a burst via per-shard workers (delegating stacks only).
@@ -749,10 +720,9 @@ class ReallocatingScheduler(abc.ABC):
         Semantics match :meth:`apply_batch` with ``atomic=True`` applied
         per burst: identical placements, ledger entries, and max-span
         tracking, with whole-burst rollback on any shard failure.
-        ``workers`` selects the worker mode (``"serial"``, ``"threads"``,
-        or ``"processes"`` — persistent worker processes holding the
-        per-machine sub-schedulers across bursts); ``parallel=True`` is
-        the deprecated spelling of ``workers="threads"``.
+        ``workers`` selects the worker mode (``"serial"`` or
+        ``"processes"`` — persistent worker processes holding the
+        per-machine sub-schedulers across bursts).
         ``semantics="flexible"`` plans the burst jointly first (the
         bounds-equivalence contract), with per-request costs reported
         at arrival positions exactly as :meth:`apply_batch` does.

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from ..analysis.sanitize import resolve_journal
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.exceptions import InvalidRequestError
 from ..core.job import Job, JobId, Placement
@@ -96,7 +97,7 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.min_n_star = min_n_star
         self.n_star = min_n_star
         self.migrate_per_request = migrate_per_request
-        self.journal_impl = journal
+        self.journal_impl = journal = resolve_journal(journal)
         self.parity = 0
         self.active = AlignedReservationScheduler(policy, journal=journal)
         self.incoming: AlignedReservationScheduler | None = None

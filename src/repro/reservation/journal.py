@@ -2,38 +2,21 @@
 
 Every failed-request and atomic-batch rollback in the reservation stack
 replays an *undo journal*: a sequence of entries, each restoring one
-mutation, replayed in reverse. The original implementation recorded a
-closure per mutation (``lambda: self._undo_assign(window, pos, slot)``).
-Closures are semantically perfect and allocation-expensive: each one
-costs a function object plus a closure tuple, and — worse — CPython
-creates the captured variables' cells at *every* call of the enclosing
-method, so the closure representation taxed the mutation hot path even
-when no journal was attached. Inside atomic batches the journal lives
-for the whole burst, so those objects survived a GC generation and got
-promoted (bench E11's ~10-20% bookkeeping share).
-
-This module is the replacement:
+mutation, replayed in reverse.
 
 - **Tuple opcodes** — a journal entry is a plain tuple
   ``(opcode, target, *args)``; one allocation, no cells, immutable.
   :func:`replay_entries` is the single dispatch loop that replays any
-  journal backwards. It also accepts callables, so the closure-journal
-  oracle (kept for the equivalence property tests — see
-  ``AlignedReservationScheduler(journal="closure")``) replays through
-  the same loop.
+  journal backwards.
 - **Arena** — :class:`UndoArena` owns the journal's container objects
   (entry list, first-touch dedup set, attached-interval list, and the
   atomic batch log's snapshot lists) once per scheduler instead of
   allocating fresh ones per request/batch. A scope appends entries,
-  optionally replays them backwards on failure, and releases its
-  storage with :meth:`UndoArena.truncate` — so the same storage is
-  reused request after request and, in worker-resident schedulers,
-  burst after burst. In the current stack every scope spans the whole
-  arena (the per-request journal and the atomic batch log never
-  coexist on one scheduler), so production code always truncates to
-  zero; the watermark form (:meth:`UndoArena.mark` /
-  ``truncate(mark)`` / ``rollback(mark)``) generalizes to nested
-  scopes should one layer ever journal inside another. Arenas are
+  replays them backwards on failure, and releases its storage with
+  :meth:`UndoArena.truncate` — so the same storage is reused request
+  after request and, in worker-resident schedulers, burst after burst.
+  Every scope spans the whole arena (the per-request journal and the
+  atomic batch log never coexist on one scheduler). Arenas are
   process-local scratch: pickling a scheduler drops its arena and a
   fresh one is rebuilt on restore (journals are empty at every
   serialization point anyway).
@@ -63,11 +46,11 @@ the three per-map ``OP_SET``/``OP_POP`` entries a placement mutation
 used to record, exploiting that the three maps only ever change
 together through ``_set_placement`` / ``_clear_placement``.
 
-The undone state is byte-for-byte what the closure implementation
-produced — both call the same ``Interval._undo_*`` primitives — which
-the property tests in ``tests/test_journal_arena.py`` pin across
-poisoned requests, deep atomic aborts, trimming rebuilds, and
-process-worker crash rollback.
+The property tests in ``tests/test_journal_arena.py`` pin the undone
+state, across poisoned requests, deep atomic aborts, trimming rebuilds
+and process-worker crash rollback, to that of a fresh scheduler that
+replays only the committed requests — a reference that never runs an
+undo primitive.
 """
 
 from __future__ import annotations
@@ -87,20 +70,14 @@ OP_PLACE = 9
 OP_UNPLACE = 10
 
 
-def replay_entries(entries: list, stop: int = 0) -> None:
-    """Replay journal entries above watermark ``stop`` in reverse.
+def replay_entries(entries: list) -> None:
+    """Replay journal entries in reverse.
 
     The single dispatch loop shared by failed-request rollback and
-    atomic-batch abort. Tuple entries dispatch on their opcode; callable
-    entries (closure-journal oracle mode) are simply invoked — both
-    representations replay through here so the equivalence tests
-    exercise one replay path.
+    atomic-batch abort.
     """
-    for i in range(len(entries) - 1, stop - 1, -1):
+    for i in range(len(entries) - 1, -1, -1):
         e = entries[i]
-        if e.__class__ is not tuple:
-            e()
-            continue
         op = e[0]
         if op == OP_ASSIGN:
             e[1]._undo_assign(e[2], e[3])
@@ -139,18 +116,15 @@ class UndoArena:
     The containers are allocated once and shared by every per-request
     journal and every atomic batch log the owning scheduler opens
     (per-request journals and the batch log never coexist: atomic
-    batches switch the per-request journal off). Scopes append above a
-    watermark and release by truncating back to it; the container
-    objects themselves — the per-request ``[], set(), []`` triple the
-    closure implementation allocated on every request — are never
+    batches switch the per-request journal off). Scopes release by
+    truncating the arena; the container objects themselves are never
     reallocated.
 
     Attributes
     ----------
     entries:
-        The append-only journal (tuple opcodes; closures in oracle
-        mode). Intervals append to this list directly via their
-        ``undo_log`` reference, at C speed.
+        The append-only journal of tuple opcodes. Intervals append to
+        this list directly via their ``undo_log`` reference, at C speed.
     seen:
         First-touch dedup tokens (``(id(mapping), key)`` per-request,
         ``id(obj)`` per-batch).
@@ -162,7 +136,7 @@ class UndoArena:
         table shallow-copies, mid-batch interval materializations).
     entries_total:
         Diagnostic: total journal entries recorded over the arena's
-        lifetime (read by bench E11b's allocation accounting).
+        lifetime (read by the benchmark's per-layer trace).
     """
 
     __slots__ = ("entries", "seen", "intervals", "windows", "dicts",
@@ -177,31 +151,18 @@ class UndoArena:
         self.created: list = []
         self.entries_total = 0
 
-    def mark(self) -> int:
-        """Watermark delimiting a new journal scope."""
-        return len(self.entries)
+    def truncate(self) -> None:
+        """Release every journal entry (scope exit).
 
-    def truncate(self, mark: int = 0) -> None:
-        """Release every journal entry above ``mark`` (scope exit).
-
-        Also counts the released entries into ``entries_total`` and, at
-        the outermost scope (``mark == 0``), clears the shared dedup and
-        snapshot containers for the next scope.
+        Also counts the released entries into ``entries_total`` and
+        clears the shared dedup and snapshot containers for the next
+        scope.
         """
         entries = self.entries
-        self.entries_total += len(entries) - mark
-        del entries[mark:]
-        if mark == 0:
-            self.seen.clear()
-            self.intervals.clear()
-            self.windows.clear()
-            self.dicts.clear()
-            self.created.clear()
-
-    def rollback(self, mark: int = 0) -> None:
-        """Replay entries above ``mark`` backwards (state restore only).
-
-        The caller still owns scope exit (detaching interval logs and
-        calling :meth:`truncate`).
-        """
-        replay_entries(self.entries, mark)
+        self.entries_total += len(entries)
+        entries.clear()
+        self.seen.clear()
+        self.intervals.clear()
+        self.windows.clear()
+        self.dicts.clear()
+        self.created.clear()

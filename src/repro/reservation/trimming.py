@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from ..analysis.sanitize import resolve_journal
 from ..core.base import ReallocatingScheduler, _BatchContext
 from ..core.events import EventTracer, NullTracer
 from ..core.exceptions import InvalidRequestError
@@ -61,7 +62,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         Floor for the n* estimate (avoids degenerate trims at tiny n).
     journal:
         Undo-journal representation of the inner schedulers (``"arena"``
-        default, ``"closure"`` oracle — see
+        default or ``"arena-sanitize"`` — see
         :class:`AlignedReservationScheduler`). Rebuilds carry it to the
         fresh inner.
     """
@@ -97,7 +98,7 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         self.min_n_star = min_n_star
         self.n_star = min_n_star
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.journal_impl = journal
+        self.journal_impl = journal = resolve_journal(journal)
         self.inner = AlignedReservationScheduler(policy, tracer=self.tracer,
                                                  journal=journal)
         self.rebuilds = 0

@@ -141,8 +141,7 @@ def run_engine(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
-    shard_parallel: bool = False,
+    shard_workers: str = "serial",
     verify: str = "incremental",
     full_audit_every: int | None = None,
     validator: Callable[[ReallocatingScheduler], None] | None = None,
@@ -175,12 +174,10 @@ def run_engine(
         ``"auto"`` (default), ``"sequential"``, ``"batched"``,
         ``"sharded"``, or a DriveBackend instance.
     shard_workers:
-        Sharded backend: worker flavor — ``"serial"`` (default),
-        ``"threads"`` (GIL-bound thread pool), or ``"processes"``
-        (process-resident per-machine sub-schedulers; the session
-        releases them, syncing state back, when the run ends).
-    shard_parallel:
-        Deprecated alias for ``shard_workers="threads"``.
+        Sharded backend: worker flavor — ``"serial"`` (default) or
+        ``"processes"`` (process-resident per-machine sub-schedulers;
+        the session releases them, syncing state back, when the run
+        ends).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -208,7 +205,6 @@ def run_engine(
         batch_semantics=batch_semantics,
         backend=backend,
         shard_workers=shard_workers,
-        shard_parallel=shard_parallel,
         verify=verify,
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -275,8 +271,7 @@ def run_sweep(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str | None = None,
-    shard_parallel: bool = False,
+    shard_workers: str = "serial",
     verify: str = "incremental",
     full_audit_every: int | None = None,
     checkpoint_every: int = 0,
@@ -324,7 +319,6 @@ def run_sweep(
                 batch_semantics=batch_semantics,
                 backend=backend,
                 shard_workers=shard_workers,
-                shard_parallel=shard_parallel,
                 verify=verify,
                 full_audit_every=full_audit_every,
                 checkpoint_every=checkpoint_every,

@@ -25,11 +25,11 @@ all share now:
     incrementally-maintained placement map with a merged-commit verify
     per batch. Requires a delegating scheduler stack
     (``supports_sharded_batches()``). ``workers`` selects the worker
-    flavor — ``"serial"`` / ``"threads"`` (in-process, GIL-bound) or
-    ``"processes"``: each machine's sub-scheduler lives persistently in
-    a worker process across bursts (state never ships per burst; only
-    op streams and per-op touched logs cross the pipe), the one flavor
-    with real parallelism on multicore hardware.
+    flavor — ``"serial"`` (in-process) or ``"processes"``: each
+    machine's sub-scheduler lives persistently in a worker process
+    across bursts (state never ships per burst; only op streams and
+    per-op touched logs cross the pipe), the flavor with real
+    parallelism on multicore hardware.
 
     Process-worker lifecycle: the pool spawns lazily on the first
     process burst, stays resident for the whole session, and is
@@ -84,7 +84,6 @@ from ..core.base import (
     ReallocatingScheduler,
     SHARD_WORKER_MODES,
     resolve_batch_semantics,
-    resolve_shard_worker_mode,
 )
 from ..core.costs import BatchResult, CostLedger, RequestCost
 from ..core.exceptions import InvalidRequestError, ReproError
@@ -149,14 +148,10 @@ class ExecutionPlan:
         ready-made :class:`DriveBackend` instance.
     shard_workers:
         Sharded backend only: the worker flavor — ``"serial"``
-        (default), ``"threads"`` (in-process thread pool; identical
-        results, GIL-bound — see bench E12), or ``"processes"``
+        (default, in-process — see bench E12) or ``"processes"``
         (process-resident per-machine sub-schedulers, the flavor with
         real parallelism — see bench E13 and the module docstring for
         lifecycle and failure semantics).
-    shard_parallel:
-        Deprecated alias: ``True`` means ``shard_workers="threads"``
-        (ignored when ``shard_workers`` is set explicitly).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -189,8 +184,7 @@ class ExecutionPlan:
     atomic_batches: bool = False
     batch_semantics: str = "strict"
     backend: "str | DriveBackend" = "auto"
-    shard_workers: str | None = None
-    shard_parallel: bool = False
+    shard_workers: str = "serial"
     verify: str = "incremental"
     full_audit_every: int = DEFAULT_FULL_AUDIT_EVERY
     validator: Callable[[ReallocatingScheduler], None] | None = None
@@ -210,20 +204,13 @@ class ExecutionPlan:
         if isinstance(self.backend, str) and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if (self.shard_workers is not None
-                and self.shard_workers not in SHARD_WORKER_MODES):
+        if self.shard_workers not in SHARD_WORKER_MODES:
             raise ValueError(
                 f"shard_workers must be one of {SHARD_WORKER_MODES}, "
                 f"got {self.shard_workers!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         resolve_batch_semantics(self.batch_semantics)
-
-    @property
-    def resolved_shard_workers(self) -> str:
-        """The effective worker mode (deprecated flag folded in)."""
-        return resolve_shard_worker_mode(self.shard_workers,
-                                         self.shard_parallel)
 
 
 @dataclass
@@ -327,8 +314,8 @@ class ShardedBackend(DriveBackend):
     are always transactional (a shard failure — or a worker-process
     crash — rolls the burst back wholesale).
 
-    ``workers`` selects the worker flavor (``"serial"`` / ``"threads"``
-    / ``"processes"``); with ``"processes"`` the per-machine
+    ``workers`` selects the worker flavor (``"serial"`` or
+    ``"processes"``); with ``"processes"`` the per-machine
     sub-schedulers live in persistent worker processes for the whole
     session and :meth:`finish` syncs their state back and releases them
     on every exit path (see the module docstring for the lifecycle and
@@ -338,10 +325,9 @@ class ShardedBackend(DriveBackend):
     name = "sharded"
     chunked = True
 
-    def __init__(self, *, workers: str | None = None,
-                 parallel: bool = False,
+    def __init__(self, *, workers: str = "serial",
                  semantics: str = "strict") -> None:
-        self.workers = resolve_shard_worker_mode(workers, parallel)
+        self.workers = workers
         self.semantics = resolve_batch_semantics(semantics)
 
     def prepare(self, scheduler: ReallocatingScheduler,
@@ -382,7 +368,7 @@ def resolve_backend(plan: ExecutionPlan) -> DriveBackend:
     if backend == "batched":
         return BatchedBackend(atomic=plan.atomic_batches,
                               semantics=plan.batch_semantics)
-    return ShardedBackend(workers=plan.resolved_shard_workers,
+    return ShardedBackend(workers=plan.shard_workers,
                           semantics=plan.batch_semantics)
 
 

@@ -1,16 +1,21 @@
-"""Tuple+arena undo journal vs the closure-journal oracle.
+"""Undo-journal rollback vs a fresh replay of the committed requests.
 
-The journal representation (tuple opcodes on a reusable arena,
-``journal="arena"``) is free to change because the paper's guarantees
-depend only on *what* a rollback restores, never *how* — but "free to
-change" must be proven, not assumed. These tests pin the arena
-journal's abort state bit-identical to the closure-journal oracle
-(``journal="closure"``, the pre-arena implementation kept verbatim)
-across every rollback path in the stack:
+The journal representation (tuple opcodes on a reusable arena) is free
+to change because the paper's guarantees depend only on *what* a
+rollback restores, never *how* — but "free to change" must be proven,
+not assumed. These tests pin every rollback path in the stack to one
+representation-independent reference: a fresh stack of the same type
+that replays only the committed requests through the same entry point.
+The reference never runs an undo primitive, so a wrong
+``Interval._undo_*`` or placement-map rewind cannot hide in it. Each
+test compares the deep state right after the rollback and again after
+both stacks continue with the rest of the stream (so lazily rebuilt
+caches must come back consistent too). The paths:
 
 - failed-request rollback (poisoned schedulers keep exact pre-request
   state),
-- deep atomic-batch aborts through the full Theorem 1 stack,
+- deep atomic-batch aborts through the aligned, Theorem 1 (m=1, m=3)
+  and deamortized stacks,
 - trimming rebuilds replaced mid-batch and discarded on abort,
 - process-worker crash rollback (whole-burst abort + worker re-seed,
   exercising arena reuse across bursts and across pickling).
@@ -22,6 +27,7 @@ window-state backed indexes — not just the public placement map.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -33,7 +39,15 @@ from repro.core.requests import DeleteJob, InsertJob, iter_batches
 from repro.core.window import Window
 from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation import AlignedReservationScheduler
-from repro.reservation.journal import OP_POP, UndoArena, replay_entries
+from repro.reservation.deamortized import DeamortizedReservationScheduler
+from repro.reservation.journal import (
+    OP_PLACE,
+    OP_POP,
+    OP_SET,
+    OP_UNPLACE,
+    UndoArena,
+    replay_entries,
+)
 from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.reservation.validation import validate_scheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
@@ -47,6 +61,17 @@ def make_workload(num_requests=400, seed=0, machines=1):
     return list(random_aligned_sequence(cfg, seed=seed))
 
 
+class DenseCostingScheduler(AlignedReservationScheduler):
+    """Aligned scheduler costed by full placement diffs.
+
+    It runs with no live touched log, so every placement mutation takes
+    the journaled ``OP_PLACE`` / ``OP_UNPLACE`` fold instead of the
+    touched-log rewind.
+    """
+
+    _sparse_costing = False
+
+
 # ----------------------------------------------------------------------
 # deep state fingerprints
 # ----------------------------------------------------------------------
@@ -57,9 +82,13 @@ def _wkey(window):
 def aligned_fingerprint(s: AlignedReservationScheduler):
     """Every semantic structure of the single-machine scheduler.
 
-    Lazy caches (memoized targets, free-slot indexes) are deliberately
-    excluded — ``validate_scheduler`` cross-checks them against
-    recomputation separately.
+    That includes the eagerly maintained interval counters and indexes
+    the undo primitives restore (allowance size, demand total, per-window
+    assignment counts, the free-slot index, the window-state ladder
+    cache, which must hold the scheduler's own window-state objects).
+    Lazy memos (fulfillment targets, dirty flags) are deliberately
+    excluded — a rollback invalidates them instead of restoring them,
+    and ``validate_scheduler`` cross-checks them against recomputation.
     """
     intervals = tuple(
         (lv, idx, iv.lo, iv.hi, frozenset(iv.lower_occupied),
@@ -67,7 +96,10 @@ def aligned_fingerprint(s: AlignedReservationScheduler):
          tuple(sorted((_wkey(w), tuple(sorted(slots)))
                       for w, slots in iv.assigned.items())),
          tuple(sorted(iv.slot_owner.items(),
-                      key=lambda kv: kv[0])))
+                      key=lambda kv: kv[0])),
+         iv._n_lower, iv._dyn_total, tuple(iv._counts), tuple(iv._free),
+         tuple(ws is s.window_states[lv].get(w)
+               for w, ws in zip(iv._windows, iv._ws)))
         for lv, table in sorted(s.intervals.items())
         for idx, iv in sorted(table.items())
     )
@@ -90,12 +122,23 @@ def trimmed_fingerprint(s: TrimmedReservationScheduler):
             aligned_fingerprint(s.inner))
 
 
+def deamortized_fingerprint(s: DeamortizedReservationScheduler):
+    incoming = (None if s.incoming is None
+                else aligned_fingerprint(s.incoming))
+    return (s.parity, s.incoming_parity, s.n_star, s.phases_started,
+            s.bulk_finishes, set(s.jobs), s._max_span_cache,
+            dict(s._home), dict(s._placements),
+            aligned_fingerprint(s.active), incoming)
+
+
 def stack_fingerprint(s):
     """Recursive fingerprint for any scheduler stack under test."""
     if isinstance(s, AlignedReservationScheduler):
         return ("aligned", aligned_fingerprint(s))
     if isinstance(s, TrimmedReservationScheduler):
         return ("trimmed", trimmed_fingerprint(s))
+    if isinstance(s, DeamortizedReservationScheduler):
+        return ("deamortized", deamortized_fingerprint(s))
     if isinstance(s, DelegatingScheduler):
         bal = s.balancer
         return ("delegating", dict(s.placements), set(s.jobs),
@@ -108,50 +151,81 @@ def stack_fingerprint(s):
     raise AssertionError(f"no fingerprint for {type(s).__name__}")
 
 
-def make_pair(factory):
-    """(arena, closure-oracle) instances of the same stack."""
-    return factory("arena"), factory("closure")
+def replayed(factory, committed):
+    """The reference: a fresh stack fed only the committed requests."""
+    reference = factory()
+    for r in committed:
+        reference.apply(r)
+    return reference
+
+
+def assert_matches_replay(subject, reference, rest):
+    """Equal to the replay reference now and after both apply ``rest``."""
+    assert stack_fingerprint(subject) == stack_fingerprint(reference)
+    for r in rest:
+        subject.apply(r)
+        reference.apply(r)
+    assert stack_fingerprint(subject) == stack_fingerprint(reference)
+
+
+def unpoison(s: AlignedReservationScheduler) -> None:
+    """Clear the poison flag so a rolled-back scheduler can continue.
+
+    Poisoning is policy, not state: the rollback already restored the
+    pre-request state, and continuing the stream from it is what shows
+    that every lazily maintained cache came back consistent.
+    """
+    assert s.poisoned
+    s._poisoned = False
 
 
 # ----------------------------------------------------------------------
 # the arena itself
 # ----------------------------------------------------------------------
 def test_arena_watermark_truncation_and_counter():
+    """``truncate()`` releases every entry and clears the shared
+    containers; ``entries_total`` counts what each scope released."""
     arena = UndoArena()
     d = {"a": 1}
-    arena.entries.append((OP_POP, d, "a"))  # outer scope's entry
-    mark = arena.mark()
-    assert mark == 1
-    arena.entries.append((OP_POP, d, "b"))  # inner scope's entry
+    arena.entries.append((OP_POP, d, "b"))
+    arena.entries.append((OP_SET, d, "a", 1))
     arena.seen.add("token")
-    # inner scope: replay + truncate back to the watermark
-    d["b"] = 2
-    arena.rollback(mark)
+    arena.intervals.append("iv")
+    arena.windows.append("ws")
+    arena.dicts.append("table")
+    arena.created.append("created")
+    d["a"], d["b"] = 5, 2
+    replay_entries(arena.entries)
     assert d == {"a": 1}
-    arena.truncate(mark)
-    assert len(arena.entries) == 1 and arena.entries_total == 1
-    assert arena.seen  # inner truncation leaves shared containers alone
-    # outer scope exit clears everything
     arena.truncate()
-    assert not arena.entries and not arena.seen
     assert arena.entries_total == 2
+    assert not (arena.entries or arena.seen or arena.intervals
+                or arena.windows or arena.dicts or arena.created)
+    # the containers are reused, not reallocated, by the next scope
+    entries = arena.entries
+    entries.append((OP_POP, d, "c"))
+    arena.truncate()
+    assert arena.entries is entries and not entries
+    assert arena.entries_total == 3
+    arena.truncate()  # an empty scope counts nothing
+    assert arena.entries_total == 3
 
 
-def test_replay_dispatches_closures_too():
-    calls = []
-    d = {"k": "old"}
-    replay_entries([lambda: calls.append(1), (OP_POP, d, "k")])
-    assert calls == [1] and d == {}
-
-
-def test_journal_param_validation_and_introspection():
-    with pytest.raises(ValueError):
-        AlignedReservationScheduler(journal="nope")
+def test_journal_param_validation_and_introspection(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    for bad in ("nope", "closure"):
+        for build in (lambda j: AlignedReservationScheduler(journal=j),
+                      lambda j: TrimmedReservationScheduler(journal=j),
+                      lambda j: DeamortizedReservationScheduler(journal=j),
+                      lambda j: ReservationScheduler(2, gamma=8, journal=j)):
+            with pytest.raises(ValueError):
+                build(bad)
     assert AlignedReservationScheduler().journal_impl == "arena"
-    assert AlignedReservationScheduler(journal="closure").journal_impl == "closure"
-    assert TrimmedReservationScheduler(journal="closure").inner.journal_impl == "closure"
-    facade = ReservationScheduler(2, gamma=8, journal="closure")
-    assert all(m.journal_impl == "closure" for m in facade.machine_schedulers())
+    trimmed = TrimmedReservationScheduler(journal="arena-sanitize")
+    assert trimmed.inner.journal_impl == "arena-sanitize"
+    facade = ReservationScheduler(2, gamma=8, journal="arena-sanitize")
+    assert all(m.journal_impl == "arena-sanitize"
+               for m in facade.machine_schedulers())
 
 
 def test_journal_entry_counter_survives_aborted_rebuild():
@@ -185,8 +259,6 @@ def test_journal_entry_counter_survives_aborted_rebuild():
 def test_deamortized_counter_exists_and_carries_phases():
     """The deamortized stack exposes the same introspection as every
     other stack, and retired phase inners keep their counts."""
-    from repro.reservation.deamortized import DeamortizedReservationScheduler
-
     sched = DeamortizedReservationScheduler(min_n_star=4)
     seq = make_workload(300, seed=31)
     counts = []
@@ -204,159 +276,171 @@ def test_deamortized_counter_exists_and_carries_phases():
 
 
 def test_journal_entry_counter_counts_both_modes():
+    """The plain and the sanitized arena record the same entries."""
     seq = make_workload(120, seed=21)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
+    plain = AlignedReservationScheduler(journal="arena")
+    checked = AlignedReservationScheduler(journal="arena-sanitize")
     for r in seq:
-        arena.apply(r)
-        closure.apply(r)
-    assert arena.journal_entries_total > 0
-    assert arena.journal_entries_total == closure.journal_entries_total
+        plain.apply(r)
+        checked.apply(r)
+    assert plain.journal_entries_total > 0
+    assert plain.journal_entries_total == checked.journal_entries_total
+    assert stack_fingerprint(plain) == stack_fingerprint(checked)
 
 
 # ----------------------------------------------------------------------
 # failed-request rollback (poisoned schedulers)
 # ----------------------------------------------------------------------
+#: a 512-slot region beyond the workload horizon (2048): crowding it
+#: never interacts with the workload's jobs
+CROWD = 1 << 12
+
+
+def crowd_until_failure(sched, seed):
+    """Insert random aligned jobs into the :data:`CROWD` region until
+    one fails; return the committed inserts and the failing job.
+
+    Spans run from 8 to 512, so two reservation levels interact. The
+    failure comes deep inside the insert, after reservation changes,
+    revocations, moves (with their ancestor-interval swaps) and
+    displacements, so the rollbacks replay every kind of journal
+    entry."""
+    rng = random.Random(seed)
+    committed = []
+    for i in itertools.count():
+        span = 1 << rng.randrange(3, 10)
+        release = CROWD + rng.randrange(512 // span) * span
+        job = Job(f"crowd-{seed}-{i}", Window(release, release + span))
+        try:
+            sched.insert(job)
+        except ReproError:
+            return committed, job
+        committed.append(InsertJob(job))
+
+
+#: crowd runs per poisoned-request case; about every other run fails
+#: after moving a job into an empty slot
+CROWD_RUNS = 6
+
+
+def _poisoned_matches_replay(factory, seq, crowd_seed):
+    """Apply ``seq[:200]``, crowd the region until an insert fails; the
+    rolled-back state must equal a replay of everything committed."""
+    prefix, rest = seq[:200], seq[200:]
+    sched = replayed(factory, prefix)
+    crowd, _ = crowd_until_failure(sched, crowd_seed)
+    assert sched.poisoned
+    # the crowded region is past its Lemma 8 margin (that is why the
+    # last insert failed); every other invariant must hold
+    validate_scheduler(sched, check_lemma8=False)
+    unpoison(sched)
+    assert_matches_replay(sched, replayed(factory, prefix + crowd), rest)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_poisoned_request_state_identical(seed):
-    """A deep infeasible insert rolls both journals back to the same
-    bit-identical pre-request state, then poisons both."""
+    """A failing insert rolls back to the exact state of a scheduler
+    that never saw it, then poisons the scheduler."""
     seq = make_workload(250, seed=seed)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
-    for s in (arena, closure):
-        s.insert(Job("fill", Window(0, 1)))  # [0,1) is now full
-    for r in seq:
-        arena.apply(r)
-        closure.apply(r)
-    pre = stack_fingerprint(arena)
-    assert pre == stack_fingerprint(closure)
-    poison = Job(f"poison-{seed}", Window(0, 1))
-    for s in (arena, closure):
-        with pytest.raises(ReproError):
-            s.insert(poison)
-        assert s.poisoned
-        validate_scheduler(s)
-    post = stack_fingerprint(arena)
-    assert post == stack_fingerprint(closure)
-    # rollback restored everything except the poison flag
-    assert post[1][:5] == pre[1][:5] and post[1][6:] == pre[1][6:]
+    for crowd_seed in range(seed, seed + CROWD_RUNS):
+        _poisoned_matches_replay(AlignedReservationScheduler, seq, crowd_seed)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_random_failing_deletes_and_inserts_identical(seed):
-    """Random churn with interleaved invalid requests: both journals
-    agree on every success, every failure, and every intermediate
-    state fingerprint."""
+    """Random churn with interleaved failing requests — ghost deletes,
+    duplicate inserts and deep infeasible inserts that roll back and
+    poison: after every failure the state equals a lockstep replay of
+    the successes."""
     rng = random.Random(seed)
     seq = make_workload(300, seed=seed)
-    arena, closure = make_pair(
-        lambda j: AlignedReservationScheduler(journal=j))
+    crowd, poison = crowd_until_failure(AlignedReservationScheduler(), seed)
+    sched = replayed(AlignedReservationScheduler, crowd)
+    reference = replayed(AlignedReservationScheduler, crowd)
+    kinds = set()
     for i, r in enumerate(seq):
-        outcomes = []
-        for s in (arena, closure):
-            try:
-                s.apply(r)
-                outcomes.append("ok")
-            except ReproError as exc:
-                outcomes.append(type(exc).__name__)
-        assert outcomes[0] == outcomes[1]
-        if outcomes[0] != "ok":
-            break
-        if rng.random() < 0.1:
-            bad = DeleteJob(f"ghost-{i}")
-            for s in (arena, closure):
-                with pytest.raises(ReproError):
-                    s.apply(bad)
-        if i % 25 == 0:
-            assert stack_fingerprint(arena) == stack_fingerprint(closure)
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
+        sched.apply(r)
+        reference.apply(r)
+        if rng.random() < 0.15:
+            kind = rng.choice(("ghost", "duplicate", "infeasible"))
+            bad = {"ghost": DeleteJob(f"ghost-{i}"),
+                   "duplicate": crowd[0],
+                   "infeasible": InsertJob(Job(f"deep-{i}", poison.window)),
+                   }[kind]
+            with pytest.raises(ReproError):
+                sched.apply(bad)
+            if kind == "infeasible":
+                unpoison(sched)
+            kinds.add(kind)
+            assert stack_fingerprint(sched) == stack_fingerprint(reference)
+    assert kinds == {"ghost", "duplicate", "infeasible"}
+    assert stack_fingerprint(sched) == stack_fingerprint(reference)
 
 
 # ----------------------------------------------------------------------
 # deep atomic aborts
 # ----------------------------------------------------------------------
 STACKS = [
-    ("aligned", 1, lambda j: AlignedReservationScheduler(journal=j)),
-    ("theorem1-m1", 1, lambda j: ReservationScheduler(1, gamma=8, journal=j)),
-    ("theorem1-m3", 3, lambda j: ReservationScheduler(3, gamma=8, journal=j)),
+    ("aligned", 1, lambda: AlignedReservationScheduler()),
+    ("theorem1-m1", 1, lambda: ReservationScheduler(1, gamma=8)),
+    ("theorem1-m3", 3, lambda: ReservationScheduler(3, gamma=8)),
+    ("deamortized", 1,
+     lambda: ReservationScheduler(1, gamma=8, deamortized=True)),
 ]
+
+#: the duplicate insert fails at the burst's last request — a deep
+#: abort after the whole burst (trimming rebuilds included) applied
+DUP_TAIL = [InsertJob(Job("dup", Window(0, 64))),
+            InsertJob(Job("dup", Window(0, 64)))]
 
 
 @pytest.mark.parametrize("name,machines,factory", STACKS)
 def test_atomic_abort_state_identical(name, machines, factory):
-    """A failing atomic batch aborts both representations to the same
-    deep state, equal to a scheduler that never saw the batch; both
-    continue to a bit-identical end state."""
+    """A failing atomic batch aborts to the deep state of a stack that
+    never saw the batch, and both continue to the same end state."""
     seq = make_workload(420, seed=9, machines=machines)
     prefix, inside, after = seq[:200], seq[200:260], seq[260:]
-    arena, closure = make_pair(factory)
-    untouched = factory("arena")
-    for r in prefix:
-        arena.apply(r)
-        closure.apply(r)
-        untouched.apply(r)
-    # duplicate insert fails at the last request — deep abort after the
-    # whole burst (trimming rebuilds included) already applied
-    bad = inside + [InsertJob(Job("dup", Window(0, 64))),
-                    InsertJob(Job("dup", Window(0, 64)))]
-    for s in (arena, closure):
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-    fp = stack_fingerprint(arena)
-    assert fp == stack_fingerprint(closure)
-    assert fp[1:] == stack_fingerprint(untouched)[1:]  # same type tag anyway
-    for r in inside + after:
-        arena.apply(r)
-        closure.apply(r)
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
+    sched = replayed(factory, prefix)
+    result = sched.apply_batch(inside + DUP_TAIL, atomic=True)
+    assert result.failed and result.rolled_back
+    assert_matches_replay(sched, replayed(factory, prefix), inside + after)
 
 
 def test_trimming_rebuild_abort_identical():
     """An atomic batch that replaces the trimming inner mid-batch and
-    then aborts: the pre-batch inner swaps back identically in both
-    representations, and the discarded rebuild inner cost no journal
-    entries in either."""
-    arena, closure = make_pair(
-        lambda j: TrimmedReservationScheduler(gamma=8, min_n_star=4,
-                                              journal=j))
+    then aborts: the pre-batch inner swaps back, equal to a replay of
+    the warm-up, and the discarded rebuild inner cost no journal
+    entries."""
+    def factory():
+        return TrimmedReservationScheduler(gamma=8, min_n_star=4)
+
     warm = make_workload(60, seed=13)
-    for r in warm:
-        arena.apply(r)
-        closure.apply(r)
-    pre = stack_fingerprint(arena)
-    assert pre == stack_fingerprint(closure)
-    n_star = arena.n_star
+    sched = replayed(factory, warm)
+    n_star = sched.n_star
     # enough inserts to force a doubling rebuild inside the batch, then
     # a guaranteed failure (duplicate id)
     grow = [InsertJob(Job(f"grow-{i}", Window(0, 1 << 10)))
             for i in range(2 * n_star + 4)]
     bad = grow + [InsertJob(Job("grow-0", Window(0, 1 << 10)))]
-    for s in (arena, closure):
-        entries_before = s.journal_entries_total
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-        assert s.rebuilds == 0 or s.n_star == n_star  # rebuild discarded
-        # atomic batches journal interval mutations but the ephemeral
-        # rebuild inner records nothing
-        assert s.journal_entries_total >= entries_before
-    assert stack_fingerprint(arena) == pre
-    assert stack_fingerprint(closure) == pre
-    # rebuilds still work after the abort, identically
-    for r in grow:
-        arena.apply(r)
-        closure.apply(r)
-    assert arena.rebuilds == closure.rebuilds > 0
-    assert stack_fingerprint(arena) == stack_fingerprint(closure)
+    entries_before = sched.journal_entries_total
+    result = sched.apply_batch(bad, atomic=True)
+    assert result.failed and result.rolled_back
+    assert sched.rebuilds == 0 or sched.n_star == n_star  # rebuild discarded
+    # atomic batches journal interval mutations but the ephemeral
+    # rebuild inner records nothing
+    assert sched.journal_entries_total >= entries_before
+    reference = replayed(factory, warm)
+    # rebuilds still work after the abort
+    assert_matches_replay(sched, reference, grow)
+    assert sched.rebuilds == reference.rebuilds > 0
 
 
 def test_sequential_rebuild_journal_diet_oracle_unchanged():
-    """The PR 3 journal-diet equivalence still holds on top of the
-    arena: non-atomic rebuilds skip the journal entirely in both
-    representations and end bit-identical to the journaled oracle."""
+    """Non-atomic rebuilds skip the journal entirely and end
+    bit-identical to a fully journaled run."""
     seq = make_workload(400, seed=17)
     diet = TrimmedReservationScheduler(gamma=8)
-    oracle = TrimmedReservationScheduler(gamma=8, journal="closure")
+    oracle = TrimmedReservationScheduler(gamma=8)
     oracle.rebuild_journal_diet = False  # instance-level: full journaling
     for r in seq:
         diet.apply(r)
@@ -368,46 +452,52 @@ def test_sequential_rebuild_journal_diet_oracle_unchanged():
 # ----------------------------------------------------------------------
 # process-worker crash rollback
 # ----------------------------------------------------------------------
-def test_procworker_crash_rollback_identical():
-    """A worker process dying mid-burst rolls the whole burst back to
-    the same deep state in both representations (the arena crossing the
-    pickle boundary and being reused across bursts), and both recover
-    to a bit-identical end state."""
-    seq = make_workload(500, seed=19, machines=3)
-    prefix, burst, rest = seq[:256], seq[256:288], seq[288:]
-    arena, closure = make_pair(
-        lambda j: ReservationScheduler(3, gamma=8, journal=j))
+def _sharded(sched, requests):
+    for chunk in iter_batches(requests, 32):
+        result = sched.apply_batch_sharded(chunk, workers="processes")
+        assert not result.failed, result.failure
+
+
+def _crash_matches_replay(seq, split, crash_after):
+    """Crash a worker mid-burst; the rolled-back stack must equal a
+    fresh one fed the committed prefix through the same entry point,
+    before and after both retry the burst and finish the stream."""
+    prefix, burst, rest = seq[:split], seq[split:split + 32], seq[split + 32:]
+    sched = ReservationScheduler(3, gamma=8)
+    reference = ReservationScheduler(3, gamma=8)
     try:
-        for s in (arena, closure):
-            for chunk in iter_batches(prefix, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-            s.delegator._shard_pool.crash_worker_after(1, 2)
-            result = s.apply_batch_sharded(burst, workers="processes")
-            assert result.failed and result.rolled_back
-            assert isinstance(result.error, WorkerCrashError)
+        _sharded(sched, prefix)
+        sched.delegator._shard_pool.crash_worker_after(1, crash_after)
+        result = sched.apply_batch_sharded(burst, workers="processes")
+        assert result.failed and result.rolled_back
+        assert isinstance(result.error, WorkerCrashError)
+        _sharded(reference, prefix)
         # sync both back and compare the rolled-back state deeply
-        arena.close_shard_workers()
-        closure.close_shard_workers()
-        assert stack_fingerprint(arena) == stack_fingerprint(closure)
-        assert all(m.journal_impl == "closure"
-                   for m in closure.machine_schedulers())
+        sched.close_shard_workers()
+        reference.close_shard_workers()
+        assert stack_fingerprint(sched) == stack_fingerprint(reference)
         # the same burst retries cleanly on the re-seeded workers
-        for s in (arena, closure):
-            for chunk in iter_batches(burst + rest, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-        arena.close_shard_workers()
-        closure.close_shard_workers()
-        assert stack_fingerprint(arena) == stack_fingerprint(closure)
-        reference = ReservationScheduler(3, gamma=8)
-        for r in seq:
-            reference.apply(r)
-        assert dict(arena.placements) == dict(reference.placements)
-        assert arena.ledger.entries == reference.ledger.entries
+        _sharded(sched, burst + rest)
+        _sharded(reference, burst + rest)
+        sched.close_shard_workers()
+        reference.close_shard_workers()
+        assert stack_fingerprint(sched) == stack_fingerprint(reference)
+        assert sched.ledger.entries == reference.ledger.entries
     finally:
-        arena.close_shard_workers()
-        closure.close_shard_workers()
+        sched.close_shard_workers()
+        reference.close_shard_workers()
+    return sched
+
+
+def test_procworker_crash_rollback_identical():
+    """A worker process dying mid-burst rolls the whole burst back (the
+    arena crossing the pickle boundary and being reused across bursts),
+    and the stack recovers to the sequential end state."""
+    seq = make_workload(500, seed=19, machines=3)
+    sched = _crash_matches_replay(seq, 256, 2)
+    sequential = replayed(lambda: ReservationScheduler(3, gamma=8), seq)
+    assert dict(sched.placements) == dict(sequential.placements)
+    assert sched.ledger.entries == sequential.ledger.entries
 
 
 def test_unpickled_scheduler_gets_fresh_arena():
@@ -427,11 +517,11 @@ def test_unpickled_scheduler_gets_fresh_arena():
 # ----------------------------------------------------------------------
 # placement-map journal diet (touched-log rewind replaces per-map entries)
 # ----------------------------------------------------------------------
-def _counting_scheduler(deltas, **kwargs):
-    """Aligned scheduler recording journal-entry deltas per placement
-    mutation (only while a request journal is open)."""
+def _counting_scheduler(deltas, base=AlignedReservationScheduler):
+    """Scheduler recording journal-entry deltas per placement mutation
+    (only while a request journal is open)."""
 
-    class Counting(AlignedReservationScheduler):
+    class Counting(base):
         def _set_placement(self, job_id, slot):
             before = None if self._journal is None else len(self._journal)
             super()._set_placement(job_id, slot)
@@ -444,115 +534,79 @@ def _counting_scheduler(deltas, **kwargs):
             if before is not None:
                 deltas.append(len(self._journal) - before)
 
-    return Counting(**kwargs)
+    return Counting()
 
 
 def test_placement_fold_journals_one_entry_not_three():
-    """Entry-count pin for the fold: with the diet disabled every
-    placement mutation journals exactly ONE combined opcode (previously
-    three per-map entries); with the diet on (live touched log) it
-    journals none at all."""
+    """Entry-count pin for the fold: with a live touched log a
+    placement mutation journals nothing; without one (dense costing)
+    it journals exactly ONE combined opcode, not three per-map
+    entries."""
     seq = make_workload(200, seed=7)
 
     diet_deltas: list[int] = []
     diet = _counting_scheduler(diet_deltas)
-    full_deltas: list[int] = []
-    full = _counting_scheduler(full_deltas)
-    full._placement_diet = False
+    fold_deltas: list[int] = []
+    fold = _counting_scheduler(fold_deltas, DenseCostingScheduler)
 
     for r in seq:
         diet.apply(r)
-        full.apply(r)
+        fold.apply(r)
 
-    assert stack_fingerprint(diet) == stack_fingerprint(full)
+    assert stack_fingerprint(diet) == stack_fingerprint(fold)
     # both saw the same (nonzero) placement mutation traffic
-    assert len(diet_deltas) == len(full_deltas) > 0
+    assert len(diet_deltas) == len(fold_deltas) > 0
     assert set(diet_deltas) == {0}, "diet must skip placement journaling"
-    assert set(full_deltas) == {1}, "fold must journal one combined entry"
+    assert set(fold_deltas) == {1}, "fold must journal one combined entry"
 
 
 @pytest.mark.parametrize("seed", [5, 23])
 def test_placement_diet_poisoned_request_identical(seed):
-    """A deep infeasible insert rolls the diet scheduler (touched-log
-    rewind) and the full-journaling oracle back to bit-identical
-    states, in both journal representations."""
+    """A failing insert rolls back to the replay reference both through
+    the touched-log rewind and through the journaled ``OP_PLACE`` /
+    ``OP_UNPLACE`` fold (dense costing)."""
     seq = make_workload(250, seed=seed)
-    diet = AlignedReservationScheduler(journal="arena")
-    full_arena = AlignedReservationScheduler(journal="arena")
-    full_arena._placement_diet = False
-    full_closure = AlignedReservationScheduler(journal="closure")
-    full_closure._placement_diet = False
-    scheds = (diet, full_arena, full_closure)
-    for s in scheds:
-        s.insert(Job("fill", Window(0, 1)))  # [0,1) is now full
-    for r in seq:
-        for s in scheds:
-            s.apply(r)
-    poison = Job(f"poison-{seed}", Window(0, 1))
-    for s in scheds:
-        with pytest.raises(ReproError):
-            s.insert(poison)
-        assert s.poisoned
-        validate_scheduler(s)
-    fp = stack_fingerprint(diet)
-    assert fp == stack_fingerprint(full_arena)
-    assert fp == stack_fingerprint(full_closure)
+    for crowd_seed in range(seed, seed + CROWD_RUNS):
+        for factory in (AlignedReservationScheduler, DenseCostingScheduler):
+            _poisoned_matches_replay(factory, seq, crowd_seed)
 
 
-@pytest.mark.parametrize("name,machines,factory", STACKS)
+def _placement_map_entries(entries, sched):
+    """Journal entries that restore one of ``sched``'s placement maps."""
+    maps = {id(sched._placements), id(sched.job_slot), id(sched.slot_job)}
+    return [e for e in entries
+            if e[0] in (OP_PLACE, OP_UNPLACE)
+            or (e[0] in (OP_POP, OP_SET) and id(e[1]) in maps)]
+
+
+@pytest.mark.parametrize("name,machines,factory", STACKS[:3])
 def test_placement_diet_atomic_abort_identical(name, machines, factory,
                                                monkeypatch):
-    """A failing atomic batch aborts to the same deep state with the
-    placement diet on (default) and off (full per-map journaling),
-    through every scheduler stack."""
+    """An atomic abort rewinds the placement maps from the batch
+    touched log alone: the batch journal holds no placement-map entry,
+    yet the aborted stack equals the replay reference."""
     seq = make_workload(420, seed=29, machines=machines)
     prefix, inside, after = seq[:200], seq[200:260], seq[260:]
-    bad = inside + [InsertJob(Job("dup", Window(0, 64))),
-                    InsertJob(Job("dup", Window(0, 64)))]
+    journaled = []
+    restore = AlignedReservationScheduler._batch_restore
 
-    def run(diet: bool):
-        monkeypatch.setattr(AlignedReservationScheduler,
-                            "_placement_diet", diet)
-        s = factory("arena")
-        for r in prefix:
-            s.apply(r)
-        result = s.apply_batch(bad, atomic=True)
-        assert result.failed and result.rolled_back
-        mid = stack_fingerprint(s)
-        for r in inside + after:
-            s.apply(r)
-        return mid, stack_fingerprint(s)
+    def spy(self, ctx):
+        if self._abatch is not None:
+            journaled.extend(_placement_map_entries(self._abatch.journal,
+                                                    self))
+        restore(self, ctx)
 
-    assert run(True) == run(False)
+    monkeypatch.setattr(AlignedReservationScheduler, "_batch_restore", spy)
+    sched = replayed(factory, prefix)
+    result = sched.apply_batch(inside + DUP_TAIL, atomic=True)
+    assert result.failed and result.rolled_back
+    assert journaled == []
+    assert_matches_replay(sched, replayed(factory, prefix), inside + after)
 
 
-def test_placement_diet_procworker_crash_identical(monkeypatch):
-    """A worker process dying mid-burst rolls the whole burst back to
-    the same deep state with the diet on and off (workers fork with the
-    flag applied), and both recover to a bit-identical end state."""
-    seq = make_workload(400, seed=31, machines=3)
-    prefix, burst, rest = seq[:192], seq[192:224], seq[224:]
-
-    def run(diet: bool):
-        monkeypatch.setattr(AlignedReservationScheduler,
-                            "_placement_diet", diet)
-        s = ReservationScheduler(3, gamma=8, journal="arena")
-        try:
-            for chunk in iter_batches(prefix, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-            s.delegator._shard_pool.crash_worker_after(1, 2)
-            result = s.apply_batch_sharded(burst, workers="processes")
-            assert result.failed and result.rolled_back
-            assert isinstance(result.error, WorkerCrashError)
-            s.close_shard_workers()
-            mid = stack_fingerprint(s)
-            for chunk in iter_batches(burst + rest, 32):
-                result = s.apply_batch_sharded(chunk, workers="processes")
-                assert not result.failed, result.failure
-            s.close_shard_workers()
-            return mid, stack_fingerprint(s)
-        finally:
-            s.close_shard_workers()
-
-    assert run(True) == run(False)
+def test_placement_diet_procworker_crash_identical():
+    """A worker process dying before its first op of a burst: the
+    surviving workers abort their applied ops (placement maps rewound
+    from their batch touched logs), the dead one is re-seeded, and the
+    stack matches the replay reference too."""
+    _crash_matches_replay(make_workload(400, seed=31, machines=3), 192, 0)

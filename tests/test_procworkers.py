@@ -14,15 +14,14 @@ What the tentpole must guarantee (procworkers module docstring):
   through the session's normal failure policy, and a resume continues
   from the last checkpoint to a bit-identical final state.
 
-Plus the CLI satellite: ``--shard-workers {serial,threads,processes}``
-with ``--shard-parallel`` as a deprecated alias.
+Plus the CLI satellite: ``--shard-workers {serial,processes}``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, resolve_shard_workers
+from repro.cli import build_parser
 from repro.core.api import ReservationScheduler
 from repro.core.exceptions import WorkerCrashError
 from repro.core.requests import iter_batches
@@ -338,24 +337,17 @@ def _parse(argv):
 
 
 def test_shard_workers_flag_mapping(capsys):
-    # default: serial, no warning
-    args = _parse(["engine"])
-    assert resolve_shard_workers(args) == "serial"
-    assert capsys.readouterr().err == ""
+    # default: serial
+    assert _parse(["engine"]).shard_workers == "serial"
     # explicit modes pass through
-    for mode in ("serial", "threads", "processes"):
-        args = _parse(["engine", "--shard-workers", mode])
-        assert resolve_shard_workers(args) == mode
-    assert capsys.readouterr().err == ""
-    # deprecated alias maps to threads with a warning
-    args = _parse(["engine", "--shard-parallel"])
-    assert resolve_shard_workers(args) == "threads"
-    assert "deprecated" in capsys.readouterr().err
-    # explicit flag wins over the alias (and still warns nothing new)
-    args = _parse(["engine", "--shard-parallel",
-                   "--shard-workers", "processes"])
-    assert resolve_shard_workers(args) == "processes"
-    assert capsys.readouterr().err == ""
+    for mode in ("serial", "processes"):
+        assert _parse(["engine", "--shard-workers", mode]).shard_workers == mode
+    # the retired thread mode and its boolean alias are gone
+    for argv in (["engine", "--shard-workers", "threads"],
+                 ["engine", "--shard-parallel"]):
+        with pytest.raises(SystemExit):
+            _parse(argv)
+    capsys.readouterr()
 
 
 def test_shard_workers_flag_rejects_unknown_mode(capsys):
@@ -365,13 +357,15 @@ def test_shard_workers_flag_rejects_unknown_mode(capsys):
 
 
 def test_plan_validates_shard_workers():
-    with pytest.raises(ValueError):
-        ExecutionPlan(shard_workers="fibers")
-    assert ExecutionPlan().resolved_shard_workers == "serial"
-    # the deprecated spelling still resolves, and warns toward workers=
-    with pytest.deprecated_call():
-        assert (ExecutionPlan(shard_parallel=True).resolved_shard_workers
-                == "threads")
-    # an explicit workers= wins silently
-    assert ExecutionPlan(shard_workers="processes",
-                         shard_parallel=True).resolved_shard_workers == "processes"
+    for bad in ("fibers", "threads", None):
+        with pytest.raises(ValueError):
+            ExecutionPlan(shard_workers=bad)
+    assert ExecutionPlan().shard_workers == "serial"
+    with pytest.raises(TypeError):
+        ExecutionPlan(shard_parallel=True)
+    sched = ReservationScheduler(3, gamma=8)
+    for bad in ("threads", None):
+        with pytest.raises(ValueError):
+            sched.apply_batch_sharded([], workers=bad)
+    with pytest.raises(TypeError):
+        sched.apply_batch_sharded([], parallel=True)

@@ -33,9 +33,23 @@ from repro.core.job import Job
 from repro.core.requests import DeleteJob, InsertJob
 from repro.core.window import Window
 from repro.levels.policy import PAPER_POLICY
+from repro.multimachine.delegation import DelegatingScheduler
 from repro.reservation import AlignedReservationScheduler
 
-from test_backend_differential import BACKENDS, mixed_churn, run_backend
+from test_backend_differential import (
+    BACKENDS,
+    drive,
+    fingerprint,
+    mixed_churn,
+    run_backend,
+)
+from test_journal_arena import (
+    DenseCostingScheduler,
+    crowd_until_failure,
+    replayed,
+    stack_fingerprint,
+    unpoison,
+)
 
 #: the seeded fault site: the `_apply_insert` journal ack for the level
 #: map (the identical `_apply_delete` line is the second occurrence)
@@ -121,10 +135,25 @@ class TestSanitizeMode:
         aligned = AlignedReservationScheduler(PAPER_POLICY)
         assert not isinstance(aligned._placements, SanitizedDict)
 
-    def test_explicit_closure_journal_is_not_upgraded(self, monkeypatch):
+    def test_env_switch_reaches_every_layer(self, monkeypatch):
+        """Each layer of a trimmed, a deamortized and a facade stack
+        reports the representation its inners actually run."""
+        from repro.reservation.deamortized import (
+            DeamortizedReservationScheduler,
+        )
+        from repro.reservation.trimming import TrimmedReservationScheduler
+
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sched = ReservationScheduler(1, gamma=8, journal="closure")
-        assert sched.journal_impl == "closure"
+        trimmed = TrimmedReservationScheduler()
+        deamortized = DeamortizedReservationScheduler()
+        facade = ReservationScheduler(2, gamma=8)
+        machines = facade.machine_schedulers()
+        layers = [trimmed, trimmed.inner, deamortized, deamortized.active,
+                  facade, *machines, *(m.inner for m in machines)]
+        assert [s.journal_impl for s in layers] == (
+            ["arena-sanitize"] * len(layers))
+        assert isinstance(trimmed.inner._placements, SanitizedDict)
+        assert isinstance(deamortized.active._placements, SanitizedDict)
 
     def test_proxies_survive_pickle_and_stay_armed(self):
         sched = aligned_sanitized()
@@ -194,17 +223,29 @@ def test_sanitized_differential_matches_plain_arena(monkeypatch, machines,
 @pytest.mark.parametrize("machines,batch_size,seed", [(1, 16, 0), (3, 16, 3)])
 def test_sanitized_differential_diet_off_matches(monkeypatch, machines,
                                                  batch_size, seed):
-    """The placement-diet oracle mode (full per-map journaling) runs
-    clean under the sanitizer and stays bit-identical to the default
-    diet run — the sanitizer accepts both the journaled and the
-    touched-log-covered placement protocols."""
+    """Dense-costing schedulers (no live touched log, so every placement
+    mutation journals one ``OP_PLACE`` / ``OP_UNPLACE`` fold entry) run
+    clean under the sanitizer, stay bit-identical to the plain
+    touched-log run, and roll a failing insert back to a replay — the
+    sanitizer accepts both the journaled and the touched-log-covered
+    placement protocols."""
     seq = mixed_churn(160, seed, machines, 0.35)
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    reference = run_backend(seq, "sequential", machines=machines,
-                            batch_size=batch_size, atomic=True)
+    plain = DelegatingScheduler(machines, AlignedReservationScheduler)
+    drive(plain, seq, "sequential", batch_size=batch_size, atomic=True)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    monkeypatch.setattr(AlignedReservationScheduler, "_placement_diet", False)
-    got = run_backend(seq, "sequential", machines=machines,
-                      batch_size=batch_size, atomic=True)
-    assert got == reference, (
-        "sanitized diet-off run diverged from the plain diet run")
+    dense = DelegatingScheduler(machines, DenseCostingScheduler)
+    drive(dense, seq, "sequential", batch_size=batch_size, atomic=True)
+    assert fingerprint(dense) == fingerprint(plain), (
+        "sanitized dense-costing run diverged from the plain run")
+    subs = list(zip(dense.machines, plain.machines))
+    assert all(d.journal_impl == "arena-sanitize" for d, _ in subs)
+    # the fold journals placement mutations the touched log covers
+    assert all(d.journal_entries_total > p.journal_entries_total
+               for d, p in subs)
+    sched = DenseCostingScheduler()
+    crowd, _ = crowd_until_failure(sched, seed)
+    assert sched.poisoned
+    unpoison(sched)
+    reference = replayed(DenseCostingScheduler, crowd)
+    assert stack_fingerprint(sched) == stack_fingerprint(reference)

@@ -59,12 +59,9 @@ BACKEND_PLANS = [
     ("batched-atomic", dict(backend="batched", batch_size=32,
                             atomic_batches=True)),
     ("sharded", dict(backend="sharded", batch_size=32)),
-    ("sharded-parallel", dict(backend="sharded", batch_size=32,
-                              shard_parallel=True)),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sharded-parallel case
 @pytest.mark.parametrize("machines", [1, 3])
 def test_all_backends_identical_on_theorem1(machines):
     """Sequential, batched, and sharded backends produce identical
