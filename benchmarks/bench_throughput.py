@@ -1,4 +1,4 @@
-"""E10/E11/E12/E13 — systems throughput: requests/second per scheduler.
+"""E10/E11/E12/E14 — systems throughput: requests/second per scheduler.
 
 The engineering table: how fast is each scheduler at processing the
 same 8-underallocated churn sequence (no feasibility verification in
@@ -433,138 +433,6 @@ def test_e12_backend_comparison_m3(benchmark, record_result, record_json,
     # (measured ~1.05-1.1x; the plan+merge overhead must not regress it
     # below sequential beyond CI noise).
     assert med_shd > 0.9
-
-
-@pytest.mark.parametrize("m", [3, 4])
-def test_e13_process_sharded_backend(benchmark, record_result, record_json,
-                                     m):
-    """E13 — process-resident shard workers vs sequential at m=3 / m=4.
-
-    Paired-segment measurement on churn-storm at batch 64 (E11/E12's
-    throttling-robust protocol), with two differences forced by what is
-    being measured. First, timing is WALL CLOCK (``perf_counter``), not
-    ``process_time``: the scheduling work happens in child processes,
-    which parent CPU time cannot see, and wall clock is exactly what
-    process parallelism is supposed to improve. Second, the worker pool
-    stays resident across all segments — that persistence (state never
-    ships per burst; only op streams and touched logs cross the pipe)
-    is the architecture under test.
-
-    Equivalence is asserted at the end (identical placements and
-    ledgers), so the process side does the same scheduling work.
-
-    Honest expectation: the coordinator's plan+merge is the serial
-    fraction, so the speedup ceiling is Amdahl-bounded (~2-3x at m=4
-    when worker compute dominates). The target — >= 1.3x sequential at
-    m=4, batch 64 — NEEDS m+1 free cores (m workers + coordinator); on
-    fewer cores there is no parallelism to win, only IPC overhead to
-    pay, and the bench asserts a no-catastrophic-regression floor
-    instead (measured 0.8-0.9x on a 1-core container) while recording
-    the core count alongside the numbers. ``E13_REQUESTS`` scales the
-    stream (default 20000; the ROADMAP headline uses 100000).
-    """
-    import gc
-    import os
-    import statistics
-    import time
-
-    from repro.core.requests import iter_batches
-    from repro.sim.report import experiment_header, format_table
-    from repro.workloads.scenarios import churn_storm_sequence
-
-    requests = int(os.environ.get("E13_REQUESTS", "20000"))
-    seq = list(churn_storm_sequence(requests=requests, seed=0,
-                                    num_machines=m))
-    batch_size = 64
-    segments = 15
-    seg = len(seq) // segments
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-
-    results = {}
-
-    def kernel():
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        s_seq = ReservationScheduler(m, gamma=8)
-        s_proc = ReservationScheduler(m, gamma=8)
-        try:
-            times = [0.0, 0.0]
-            ratios = []
-            perf = time.perf_counter
-            for i in range(segments):
-                chunk = (seq[i * seg:(i + 1) * seg] if i < segments - 1
-                         else seq[(segments - 1) * seg:])
-                seg_times = [0.0, 0.0]
-                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    t0 = perf()
-                    if side == 0:
-                        for r in chunk:
-                            s_seq.apply(r)
-                    else:
-                        for b in iter_batches(chunk, batch_size):
-                            res = s_proc.apply_batch_sharded(
-                                b, workers="processes")
-                            if res.failed:
-                                raise AssertionError(res.failure)
-                    seg_times[side] = perf() - t0
-                times[0] += seg_times[0]
-                times[1] += seg_times[1]
-                ratios.append(seg_times[0] / seg_times[1])
-        finally:
-            s_proc.close_shard_workers()
-            if gc_was_enabled:
-                gc.enable()
-        assert dict(s_seq.placements) == dict(s_proc.placements)
-        assert s_seq.ledger.entries == s_proc.ledger.entries
-        results["times"] = times
-        results["ratios"] = ratios
-
-    benchmark.pedantic(kernel, rounds=1, iterations=1)
-    times, ratios = results["times"], results["ratios"]
-    med = statistics.median(ratios)
-    n = len(seq)
-    rows = [
-        ["sequential apply", round(n / times[0]), round(times[0], 3), "1.00x"],
-        [f"apply_batch_sharded({batch_size}, processes)",
-         round(n / times[1]), round(times[1], 3), f"{med:.2f}x"],
-    ]
-    table = format_table(
-        ["backend", "req/s (wall)", "wall_s", "median segment speedup"],
-        rows,
-        title=experiment_header(
-            "E13", f"process-resident shard workers on churn-storm, m={m}, "
-            f"batch {batch_size}, {n} requests, {cores} core(s) "
-            "(paired segments, wall clock, identical placements+ledgers)",
-        ),
-    )
-    record_result(f"e13_process_workers_m{m}", table)
-    record_json("BENCH_e13", {
-        "experiment": "e13",
-        "workload": {"scenario": "churn-storm", "requests": n, "seed": 0,
-                     "num_machines": m, "batch_size": batch_size},
-        "environment": {"cores": cores},
-        "metrics": {
-            "requests_per_second_sequential": round(n / times[0]),
-            "requests_per_second_process_sharded": round(n / times[1]),
-            "process_over_sequential_median": round(med, 3),
-        },
-        "claims": {
-            "median_speedup_above": 1.3 if cores >= m + 1 else 0.6,
-        },
-    }, section=f"m{m}")
-    benchmark.extra_info["process_over_sequential_median"] = med
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["requests"] = n
-    if cores >= m + 1:
-        # the acceptance bar: real parallelism available -> real speedup
-        assert med >= 1.3
-    else:
-        # no parallelism to be had: only require that the IPC overhead
-        # stays bounded (measured ~0.8-0.9x on a single core)
-        assert med > 0.6
 
 
 @pytest.mark.parametrize("scenario", ["churn-storm", "burst-arrivals"])

@@ -9,11 +9,8 @@ engine, sweeps, benchmarks) drives requests through ONE loop:
 3-machine churn workload through all three drive backends — sequential
 (per-request), batched (apply_batch bursts), and sharded (per-machine
 shard workers consuming the delegation layer's machine sub-batches) —
-and shows that they produce bit-identical schedules, demonstrates a
-resumable traced run (kill after N requests, resume from the trace),
-and finishes with the process-resident worker flavor: each machine's
-sub-scheduler living in a worker process across bursts, with state
-synced back when the session ends.
+and shows that they produce bit-identical schedules, then demonstrates
+a resumable traced run (kill after N requests, resume from the trace).
 """
 
 import tempfile
@@ -77,28 +74,7 @@ def main() -> None:
         print(f"  trace final record: processed={final['processed']}, "
               f"placements fingerprint {final['placements']}")
         assert resumed.ledger.entries == base.ledger.entries
-    print("  -> resumed run matches an uninterrupted one bit for bit\n")
-
-    print("== process-resident shard workers ==")
-    # Each machine's sub-scheduler lives in a worker process for the
-    # whole session; only per-burst op streams and touched logs cross
-    # the pipe. On multicore hardware this is the backend with real
-    # parallelism (the others run on one core); results stay
-    # bit-identical regardless. The session's finish hook syncs the
-    # worker state back, so the scheduler is normal in-memory state
-    # afterwards.
-    sched = ReservationScheduler(MACHINES, gamma=8)
-    result = Session(
-        sched, seq,
-        ExecutionPlan(backend="sharded", shard_workers="processes",
-                      batch_size=64),
-    ).run()
-    print(f"  processes  {result.requests_per_second:8.0f} req/s "
-          f"(sched {result.scheduler_time_s:.2f}s)")
-    assert dict(sched.placements) == dict(base.placements)
-    assert sched.ledger.entries == base.ledger.entries
-    assert sched.delegator._shard_pool is None  # released at session end
-    print("  -> identical to every in-memory backend; workers released")
+    print("  -> resumed run matches an uninterrupted one bit for bit")
 
 
 if __name__ == "__main__":

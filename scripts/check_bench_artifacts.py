@@ -7,7 +7,7 @@ Validates every committed perf-trajectory artifact
 1. the file parses as JSON (an interrupted bench can no longer truncate
    one — ``record_json`` writes atomically — but a bad merge still can);
 2. each experiment record (the top level for flat artifacts, every
-   section for sectioned ones like E12/E13) carries ``experiment``,
+   section for sectioned ones like E12/E14) carries ``experiment``,
    ``workload`` and ``metrics`` blocks;
 3. ``metrics`` contains at least one ``requests_per_second*`` field and
    every metric value is a finite number;

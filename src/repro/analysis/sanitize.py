@@ -13,11 +13,9 @@ watches both layers fire shows they are not vacuous.
 
 Enable per instance with ``journal="arena-sanitize"`` or globally with
 ``REPRO_SANITIZE=1`` in the environment (upgrades every ``"arena"``
-scheduler at construction). The proxies are plain ``dict`` subclasses:
-they pickle across the process-worker pipe (items are restored before
-the owner backref, so reconstruction is exempt from checking) and cost
-one attribute read plus one set probe per mutation — an oracle mode,
-not a production default.
+scheduler at construction). The proxies are plain ``dict`` subclasses
+and cost one attribute read plus one set probe per mutation — an
+oracle mode, not a production default.
 
 What is checked, by container:
 
@@ -112,10 +110,7 @@ class SanitizedDict(dict):
 
     ``kind`` selects the atomic-scope discipline (see the module
     docstring); ``owner`` is the scheduler whose journal state is
-    consulted. The guard only arms once ``_owner`` is set — pickle
-    restores items before instance state, so reconstruction mutations
-    pass — and every owner probe is a defensive ``getattr``, so a
-    half-reconstructed owner (deepcopy memo cycles) never trips it.
+    consulted.
     """
 
     _owner: Any
@@ -127,7 +122,6 @@ class SanitizedDict(dict):
         super().__init__(data)
         self._label = label
         self._kind = kind
-        # set last: the guard arms the moment the owner backref lands
         self._owner = owner
 
     # -- the guard ------------------------------------------------------
@@ -139,9 +133,7 @@ class SanitizedDict(dict):
         )
 
     def _guard(self, key: Any, job_id: Any) -> None:
-        owner = getattr(self, "_owner", None)
-        if owner is None:
-            return  # unarmed: construction / pickle reconstruction
+        owner = self._owner
         if getattr(owner, "_journal", None) is not None:
             if (id(self), key) in owner._jseen:
                 return
@@ -179,13 +171,9 @@ class SanitizedDict(dict):
                  "the atomic rewind would miss it")
 
     def _guard_set(self, key: Any, value: Any) -> None:
-        if getattr(self, "_owner", None) is None:
-            return  # unarmed: pickle restores items before attributes
         self._guard(key, value if self._kind == "slot" else key)
 
     def _guard_del(self, key: Any) -> None:
-        if getattr(self, "_owner", None) is None:
-            return  # unarmed: pickle restores items before attributes
         if self._kind == "slot":
             occupant = dict.get(self, key)
             if occupant is None:

@@ -2,12 +2,10 @@
 
 The runtime's correctness story rests on disciplines nothing checked
 before runtime: every hot-path mutation must append an undo entry to
-the arena journal, every backend must produce bit-identical placements,
-and everything crossing the process-worker pipe must survive pickling
-with closures rebuilt on restore. This package checks those contracts
-at review time with an AST pass — ``repro lint`` / ``scripts/
-run_staticcheck.py`` — instead of leaving them to shrunken
-differential-harness counterexamples.
+the arena journal, and every backend must produce bit-identical
+placements. This package checks those contracts at review time with an
+AST pass — ``repro lint`` / ``scripts/run_staticcheck.py`` — instead of
+leaving them to shrunken differential-harness counterexamples.
 
 Public surface:
 
@@ -78,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="repo-specific contract linter (journal coverage, "
-                    "determinism, pickle boundary, rollback safety, "
+                    "determinism, rollback safety, "
                     "typing coverage) plus the ratcheted interprocedural "
                     "hot-path rules (--ratchet)",
     )

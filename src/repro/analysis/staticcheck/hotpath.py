@@ -7,7 +7,7 @@ standing contracts, firing only on functions the call graph tags *hot*
 - ``hot-closures`` (HOT001) — no closure/lambda construction per
   request: a nested def or lambda in a hot function allocates a
   function object every call (the PR 5 journal diet exists because of
-  exactly this). Build hooks once at ``__init__``/``__setstate__``.
+  exactly this). Build hooks once at ``__init__``.
 - ``hot-comprehensions`` (HOT002) — no allocating comprehension or
   genexp inside a loop of a hot function: that is an allocation per
   iteration per request.
@@ -177,7 +177,7 @@ class HotClosureRule(HotPathRule):
     name = "hot-closures"
     description = (
         "no closure/lambda construction inside hot functions — build "
-        "hooks once at __init__/__setstate__, not per request"
+        "hooks once at __init__, not per request"
     )
 
     def check_function(self, sf: SourceFile,

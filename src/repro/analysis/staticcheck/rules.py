@@ -1,24 +1,19 @@
 """The built-in rule families: repo-specific contract checks.
 
-Four contract families guard the disciplines the runtime stack relies
+Three contract families guard the disciplines the runtime stack relies
 on (see ``docs/STATIC_ANALYSIS.md`` for the catalog with examples), and
-a fifth enforces the annotation coverage the strict mypy gate assumes:
+a fourth enforces the annotation coverage the strict mypy gate assumes:
 
 - ``journal-coverage`` (JRN001) — inside journal-managed classes, every
   method that directly mutates a journaled container must acknowledge
   the undo journal (append to ``undo_log``, or call one of the
   ``_j*`` first-touch helpers) or be an explicitly exempt
-  undo/rollback/serialization method.
+  undo/rollback method.
 - ``determinism`` (DET001/DET002) — on the cross-backend-equivalence
   path (``reservation/``, ``multimachine/``, ``sim/``), iterating a
   ``set`` (or a set-valued attribute) without ``sorted()`` and ordering
   by ``id()`` are errors: backend equivalence is bit-exact, so any
   hash-order dependence is a latent differential-harness counterexample.
-- ``pickle-boundary`` (PKL001/PKL002) — classes shipped across the
-  process-worker pipe (``reservation/``, ``core/``, ``levels/``) must
-  define ``__getstate__``/``__setstate__`` before storing closures,
-  lambdas, or process resources on ``self`` (the PR 4 stale-closure bug
-  shape: a pickled closure silently rebinds to a dead scheduler).
 - ``rollback-safety`` (RBK001) — ``apply_*``/``_batch_*`` request
   paths may not swallow broad exceptions (a swallowed failure leaves
   half-applied state that rollback never sees).
@@ -182,7 +177,7 @@ class JournalContract:
     #: ``self.assigned``, ``ws.jobs``, ``iv.slot_owner``, aliases)
     attrs: frozenset[str]
     #: method-name globs allowed to mutate without journaling — the
-    #: undo/rollback/serialization methods themselves
+    #: undo/rollback methods themselves
     exempt: tuple[str, ...]
 
 
@@ -207,9 +202,7 @@ SCHEDULER_ATTRS = INTERVAL_ATTRS | frozenset({
     "backed_covered",
 })
 
-COMMON_EXEMPT = (
-    "__init__", "__getstate__", "__setstate__", "_undo_*",
-)
+COMMON_EXEMPT = ("__init__", "_undo_*")
 
 #: class name -> contract; applies to classes with these names in any
 #: module this rule is scoped to
@@ -378,123 +371,6 @@ class DeterminismRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# pickle-boundary (PKL001 / PKL002)
-# ---------------------------------------------------------------------------
-
-#: constructors whose instances cannot cross a pickle boundary
-RESOURCE_CTORS = frozenset({
-    "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition",
-    "Event", "Barrier", "Thread", "Process", "Pipe", "Queue",
-    "SimpleQueue", "Manager", "Pool", "ThreadPoolExecutor",
-    "ProcessPoolExecutor", "socket", "open",
-})
-
-
-def _callable_factory_methods(cls: ast.ClassDef) -> set[str]:
-    """Methods that build and hand out closures (nested def / lambda)."""
-    factories: set[str] = set()
-    for method in _class_methods(cls):
-        nested = {
-            n.name for n in ast.walk(method)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and n is not method
-        }
-        for node in ast.walk(method):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if isinstance(node.value, ast.Lambda):
-                    factories.add(method.name)
-                elif (isinstance(node.value, ast.Name)
-                        and node.value.id in nested):
-                    factories.add(method.name)
-    return factories
-
-
-def _self_attr_assignments(
-    cls: ast.ClassDef,
-) -> Iterator[tuple[ast.FunctionDef, str, ast.expr, ast.AST]]:
-    """Yield (method, attr, value, node) for every ``self.X = value``."""
-    for method in _class_methods(cls):
-        for node in ast.walk(method):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            for t in targets:
-                if (isinstance(t, ast.Attribute)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == "self"):
-                    yield method, t.attr, value, node
-
-
-class PickleBoundaryRule(Rule):
-    name = "pickle-boundary"
-    description = (
-        "classes shipped across the process-worker pipe must define "
-        "__getstate__/__setstate__ before storing closures or resources"
-    )
-    # the state ProcessShardPool ships: schedulers, intervals, window
-    # states, jobs/windows/policies — reservation/, core/, levels/
-    scopes = ("reservation/", "core/", "levels/")
-
-    def check(self, sf: SourceFile) -> Iterator[Finding]:
-        for cls in ast.walk(sf.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            names = {m.name for m in _class_methods(cls)}
-            if "__getstate__" in names or "__setstate__" in names:
-                continue
-            factories = _callable_factory_methods(cls)
-            for method, attr, value, node in _self_attr_assignments(cls):
-                nested = {
-                    n.name for n in ast.walk(method)
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and n is not method
-                }
-                closure_reason = None
-                if any(isinstance(sub, ast.Lambda)
-                       for sub in ast.walk(value)):
-                    closure_reason = "a lambda"
-                elif isinstance(value, ast.Name) and value.id in nested:
-                    closure_reason = "a locally-defined closure"
-                else:
-                    for sub in ast.walk(value):
-                        if (isinstance(sub, ast.Call)
-                                and isinstance(sub.func, ast.Attribute)
-                                and isinstance(sub.func.value, ast.Name)
-                                and sub.func.value.id == "self"
-                                and sub.func.attr in factories):
-                            closure_reason = (
-                                f"the closure factory self.{sub.func.attr}()")
-                            break
-                if closure_reason is not None:
-                    yield self.finding(
-                        sf, node, "PKL001",
-                        f"{cls.name}.{method.name} stores {closure_reason} "
-                        f"on self.{attr} but {cls.name} defines neither "
-                        "__getstate__ nor __setstate__; a pickled closure "
-                        "rebinds to a dead object on restore (the PR 4 "
-                        "stale-closure bug shape)",
-                    )
-                    continue
-                for sub in ast.walk(value):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    func = sub.func
-                    ctor = func.attr if isinstance(func, ast.Attribute) \
-                        else (func.id if isinstance(func, ast.Name) else None)
-                    if ctor in RESOURCE_CTORS:
-                        yield self.finding(
-                            sf, node, "PKL002",
-                            f"{cls.name}.{method.name} stores unpicklable "
-                            f"resource {ctor}() on self.{attr} without "
-                            "__getstate__/__setstate__",
-                        )
-                        break
-
-
-# ---------------------------------------------------------------------------
 # rollback-safety (RBK001)
 # ---------------------------------------------------------------------------
 
@@ -590,6 +466,5 @@ class TypingCoverageRule(Rule):
 
 register(JournalCoverageRule())
 register(DeterminismRule())
-register(PickleBoundaryRule())
 register(RollbackSafetyRule())
 register(TypingCoverageRule())

@@ -1,8 +1,8 @@
-"""State-integrity rule families: exception flow and state boundary.
+"""State-integrity rule family: exception flow.
 
-Two strict (non-ratcheted) families built on the interprocedural call
-graph (``callgraph.py``), proving the rollback and serialization
-disciplines the runtime's correctness story rests on:
+A strict (non-ratcheted) family built on the interprocedural call
+graph (``callgraph.py``), proving the rollback discipline the
+runtime's correctness story rests on:
 
 - ``exception-flow`` (EXC001/EXC002) — raise-path analysis over the
   functions reachable inside an open journal scope (a per-request
@@ -14,17 +14,8 @@ disciplines the runtime's correctness story rests on:
   release / commit) without replaying it first — the PR 5
   journal-carry bug shape: an aborted atomic batch whose undo entries
   were dropped instead of applied.
-- ``state-boundary`` (SER001/SER002) — field-precise pickle-boundary
-  coverage. SER001 diffs the ``self.X`` assignment sites of a class
-  against the keys its ``__getstate__`` drops and its ``__setstate__``
-  rebuilds: a field dropped at the boundary but never rebuilt is the
-  PR 4 stale-state bug shape, caught per field instead of per class.
-  SER002 guards process mode: a coordinator that owns process-resident
-  shard workers may not mutate a per-machine sub-scheduler without
-  first leaving process mode (``_leave_process_mode()``), or the
-  worker-side replica silently diverges from the coordinator's copy.
 
-Both families run in the strict gate (``repro lint --strict``): the
+The family runs in the strict gate (``repro lint --strict``): the
 live tree must be clean, with per-line suppressions carrying the
 rationale anywhere a pattern is provably safe.
 """
@@ -49,7 +40,6 @@ from .rules import (
     _is_tracked,
     _iter_mutations,
     _matches_any,
-    _self_attr_assignments,
 )
 
 # ---------------------------------------------------------------------------
@@ -311,210 +301,5 @@ class ExceptionFlowRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# state-boundary (SER001 / SER002)
-# ---------------------------------------------------------------------------
-
-#: sub-scheduler request-surface calls a coordinator may only make
-#: outside process mode (the worker-resident replica would diverge)
-_SUB_MUTATION_CALLS = frozenset({
-    "insert", "delete", "apply", "apply_batch", "apply_batch_sharded",
-    "_apply_insert", "_apply_delete",
-})
-
-#: calls that leave process mode (sync local subs back from workers)
-_LEAVE_CALLS = frozenset({"_leave_process_mode", "close_shard_workers"})
-
-#: methods allowed to touch subs without leaving first: the process
-#: machinery itself plus the batch paths, which leave at batch open
-_SER002_EXEMPT = (
-    "__init__", "_leave_process_mode", "close_shard_workers",
-    "_ensure_shard_pool", "_sharded_burst*", "_batch_*",
-    "_merge_shard_results",
-)
-
-_MACHINES_ATTRS = frozenset({"machines"})
-
-
-def _mentions_machines(node: ast.AST, aliases: set[str]) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in _MACHINES_ATTRS:
-            return True
-        if (isinstance(sub, ast.Name) and sub.id in aliases
-                and not isinstance(sub.ctx, ast.Store)):
-            return True
-    return False
-
-
-def _dropped_keys(getstate: ast.FunctionDef) -> list[tuple[str, ast.AST]]:
-    """(key, node) for every ``del state["k"]`` / ``state.pop("k")``."""
-    dropped: list[tuple[str, ast.AST]] = []
-    for node in ast.walk(getstate):
-        if isinstance(node, ast.Delete):
-            for t in node.targets:
-                if (isinstance(t, ast.Subscript)
-                        and isinstance(t.slice, ast.Constant)
-                        and isinstance(t.slice.value, str)):
-                    dropped.append((t.slice.value, node))
-        elif (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "pop" and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            dropped.append((node.args[0].value, node))
-    return dropped
-
-
-def _rebuilt_keys(setstate: ast.FunctionDef,
-                  methods: dict[str, ast.FunctionDef]) -> set[str]:
-    """Fields ``__setstate__`` rebuilds, expanding same-class helpers."""
-    rebuilt: set[str] = set()
-    seen = {setstate.name}
-    stack: list[ast.FunctionDef] = [setstate]
-    while stack:
-        fn = stack.pop()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                if isinstance(node, ast.Assign):
-                    targets: list[ast.expr] = []
-                    for t in node.targets:
-                        targets.extend(
-                            t.elts if isinstance(t, ast.Tuple) else [t])
-                else:
-                    targets = [node.target]
-                for t in targets:
-                    if (isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"):
-                        rebuilt.add(t.attr)
-                    elif (isinstance(t, ast.Subscript)
-                            and isinstance(t.value, ast.Attribute)
-                            and t.value.attr == "__dict__"
-                            and isinstance(t.slice, ast.Constant)
-                            and isinstance(t.slice.value, str)):
-                        rebuilt.add(t.slice.value)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "self"
-                        and func.attr in methods
-                        and func.attr not in seen):
-                    seen.add(func.attr)
-                    stack.append(methods[func.attr])
-    return rebuilt
-
-
-class StateBoundaryRule(Rule):
-    name = "state-boundary"
-    description = (
-        "every field __getstate__ drops must be rebuilt by "
-        "__setstate__, and coordinators must leave process mode "
-        "before mutating per-machine sub-schedulers"
-    )
-    scopes = ("reservation/", "core/", "levels/", "multimachine/")
-
-    def __init__(self) -> None:
-        self._program: Program | None = None
-
-    def prepare(self, files: Sequence[SourceFile],
-                shared: dict[str, object]) -> None:
-        self._program = _shared_program(files, shared)
-
-    def check(self, sf: SourceFile) -> Iterator[Finding]:
-        yield from self._check_pickle_fields(sf)
-        if sf.scope.startswith("multimachine/"):
-            yield from self._check_process_mode(sf)
-
-    # -- SER001: dropped-but-never-rebuilt fields -----------------------
-    def _check_pickle_fields(self, sf: SourceFile) -> Iterator[Finding]:
-        for cls in ast.walk(sf.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = {m.name: m for m in _class_methods(cls)}
-            getstate = methods.get("__getstate__")
-            if getstate is None:
-                continue
-            fields = {
-                attr for _, attr, _, _ in _self_attr_assignments(cls)
-            }
-            setstate = methods.get("__setstate__")
-            rebuilt = (_rebuilt_keys(setstate, methods)
-                       if setstate is not None else set())
-            for key, node in _dropped_keys(getstate):
-                if key not in fields or key in rebuilt:
-                    continue
-                how = ("but the class defines no __setstate__"
-                       if setstate is None
-                       else "and __setstate__ never rebuilds it")
-                yield self.finding(
-                    sf, node, "SER001",
-                    f"{cls.name}.__getstate__ drops field '{key}' at "
-                    f"the pickle boundary {how} — the restored object "
-                    "is missing live state (the PR 4 stale-closure bug "
-                    "shape, field-precise)",
-                    context=f"{cls.name}.__getstate__",
-                )
-
-    # -- SER002: process-mode discipline --------------------------------
-    def _defines_leave(self, cls_name: str) -> bool:
-        program = self._program
-        if program is None:  # pragma: no cover - engine always prepares
-            return False
-        seen: set[str] = set()
-        stack = [cls_name]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            info = program.classes.get(name)
-            if info is None:
-                continue
-            if "_leave_process_mode" in info.methods:
-                return True
-            stack.extend(info.bases)
-        return False
-
-    def _check_process_mode(self, sf: SourceFile) -> Iterator[Finding]:
-        for cls in ast.walk(sf.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            if not self._defines_leave(cls.name):
-                continue
-            for method in _class_methods(cls):
-                if _matches_any(method.name, _SER002_EXEMPT):
-                    continue
-                leave_lines = sorted(
-                    n.lineno for n in ast.walk(method)
-                    if isinstance(n, ast.Call)
-                    and _call_name(n) in _LEAVE_CALLS
-                )
-                aliases = _collect_aliases(method, _MACHINES_ATTRS)
-                for node in ast.walk(method):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    func = node.func
-                    if not (isinstance(func, ast.Attribute)
-                            and func.attr in _SUB_MUTATION_CALLS):
-                        continue
-                    if not _mentions_machines(func.value, aliases):
-                        continue
-                    if any(ln <= node.lineno for ln in leave_lines):
-                        continue
-                    yield self.finding(
-                        sf, node, "SER002",
-                        f"{cls.name}.{method.name} mutates a "
-                        "per-machine sub-scheduler "
-                        f"({func.attr}) without first leaving process "
-                        "mode — the worker-resident replica diverges "
-                        "from the coordinator's copy; call "
-                        "_leave_process_mode() before touching "
-                        "self.machines",
-                        context=f"{cls.name}.{method.name}",
-                    )
-
-
-# ---------------------------------------------------------------------------
 
 register(ExceptionFlowRule())
-register(StateBoundaryRule())

@@ -24,10 +24,7 @@ placed in span order; bounds-equivalent rather than
 placement-identical), and ``--backend
 {auto,sequential,batched,sharded}`` — the session drive backend;
 ``sharded`` fans each burst out to per-machine shard workers on
-delegating scheduler stacks. ``--shard-workers {serial,processes}``
-picks the worker flavor (``processes`` keeps each machine's
-sub-scheduler resident in a worker process across bursts — the flavor
-with real parallelism).
+delegating scheduler stacks.
 
 ``engine`` and ``sweep`` support resumable runs: ``--trace FILE`` /
 ``--trace-dir DIR`` write the session's JSONL checkpoint trace,
@@ -55,7 +52,7 @@ from .baselines import (
     NaivePeckingScheduler,
 )
 from .core.api import ReservationScheduler
-from .core.base import BATCH_SEMANTICS, SHARD_WORKER_MODES
+from .core.base import BATCH_SEMANTICS
 from .core.requests import RequestSequence
 from .sim import (
     format_table,
@@ -101,8 +98,7 @@ def cmd_demo(args) -> int:
     result = run_sequence(sched, seq, batch_size=args.batch_size,
                           atomic_batches=args.atomic_batches,
                           batch_semantics=args.batch_semantics,
-                          backend=args.backend,
-                          shard_workers=args.shard_workers)
+                          backend=args.backend)
     rows = [[k, v] for k, v in result.summary.items()]
     title = f"Theorem 1 scheduler on {len(seq)} requests"
     if args.batch_size > 1:
@@ -164,7 +160,6 @@ def cmd_engine(args) -> int:
         atomic_batches=args.atomic_batches,
         batch_semantics=args.batch_semantics,
         backend=args.backend,
-        shard_workers=args.shard_workers,
         verify=args.verify,
         checkpoint_every=args.checkpoint_every,
         on_checkpoint=progress if args.checkpoint_every else None,
@@ -209,7 +204,6 @@ def cmd_sweep(args) -> int:
                         atomic_batches=args.atomic_batches,
                         batch_semantics=args.batch_semantics,
                         backend=args.backend,
-                        shard_workers=args.shard_workers,
                         stop_after=args.stop_after,
                         trace_dir=args.trace_dir or None,
                         resume=args.resume)
@@ -321,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session drive backend; 'sharded' hands each "
                             "burst's per-machine sub-batches to shard "
                             "workers (delegating stacks only)")
-        p.add_argument("--shard-workers", default="serial",
-                       dest="shard_workers",
-                       choices=list(SHARD_WORKER_MODES),
-                       help="sharded backend: worker flavor — 'serial' "
-                            "(default) or 'processes' (per-machine "
-                            "sub-schedulers resident in worker processes "
-                            "across bursts)")
 
     def add_trace_args(p, directory=False):
         if directory:

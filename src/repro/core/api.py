@@ -211,7 +211,6 @@ class ReservationScheduler(ReallocatingScheduler):
         self,
         requests: Batch | Iterable[Request],
         *,
-        workers: str = "serial",
         semantics: str = "strict",
     ) -> BatchResult:
         """Drive a burst shard-first through the delegation layer.
@@ -219,8 +218,7 @@ class ReservationScheduler(ReallocatingScheduler):
         The alignment step is a pure per-job function, so the whole
         burst is pre-aligned here and handed to
         :meth:`~repro.multimachine.delegation.DelegatingScheduler.
-        apply_batch_sharded` (``workers`` selects serial or
-        process-resident shard workers); this layer then re-costs each
+        apply_batch_sharded`; this layer then re-costs each
         request against its own view (original jobs, hence original —
         not aligned — max spans) exactly as sequential processing would,
         keeping ledger entries bit-identical to ``apply``/``apply_batch``.
@@ -238,7 +236,7 @@ class ReservationScheduler(ReallocatingScheduler):
             for r in batch
         ])
         inner = self.delegator.apply_batch_sharded(
-            aligned, workers=workers, record=False, semantics=semantics)
+            aligned, record=False, semantics=semantics)
         if inner.failed:
             return BatchResult(
                 costs=[], net=None, size=len(batch), atomic=True,
@@ -276,20 +274,11 @@ class ReservationScheduler(ReallocatingScheduler):
         self.last_touched = None
         return BatchResult(costs=costs, net=net, size=len(batch), atomic=True)
 
-    def close_shard_workers(self) -> None:
-        """Release process-resident shard workers (state synced back)."""
-        self.delegator.close_shard_workers()
-
     # ------------------------------------------------------------------
     def check_balance(self) -> None:
         """Assert the Section 3 per-window balance invariant."""
         self.delegator.check_balance()
 
     def machine_schedulers(self) -> list[ReallocatingScheduler]:
-        """The per-machine single-machine schedulers (diagnostics).
-
-        Syncs worker-resident state back first, so the returned
-        schedulers are live even after process-sharded bursts.
-        """
-        self.delegator.close_shard_workers()
+        """The per-machine single-machine schedulers (diagnostics)."""
         return list(self.delegator.machines)

@@ -94,11 +94,6 @@ from .exceptions import InvalidRequestError, ReproError
 from .job import Job, JobId, Placement
 from .requests import Batch, DeleteJob, InsertJob, Request
 
-#: the worker flavors of ``apply_batch_sharded`` — defined once here
-#: (the hook-point layer) and imported by the delegation layer, the
-#: session backends, and the CLI's argparse choices
-SHARD_WORKER_MODES = ("serial", "processes")
-
 #: batch placement semantics — ``"strict"`` pins placements/ledger to
 #: sequential equivalence; ``"flexible"`` keeps only the
 #: bounds-equivalence contract (see the module docstring). Imported by
@@ -712,7 +707,6 @@ class ReallocatingScheduler(abc.ABC):
         self,
         requests: Batch | Iterable[Request],
         *,
-        workers: str = "serial",
         semantics: str = "strict",
     ) -> BatchResult:
         """Apply a burst via per-shard workers (delegating stacks only).
@@ -720,9 +714,6 @@ class ReallocatingScheduler(abc.ABC):
         Semantics match :meth:`apply_batch` with ``atomic=True`` applied
         per burst: identical placements, ledger entries, and max-span
         tracking, with whole-burst rollback on any shard failure.
-        ``workers`` selects the worker mode (``"serial"`` or
-        ``"processes"`` — persistent worker processes holding the
-        per-machine sub-schedulers across bursts).
         ``semantics="flexible"`` plans the burst jointly first (the
         bounds-equivalence contract), with per-request costs reported
         at arrival positions exactly as :meth:`apply_batch` does.
@@ -730,17 +721,6 @@ class ReallocatingScheduler(abc.ABC):
         raise InvalidRequestError(
             f"{type(self).__name__} does not support sharded batches"
         )
-
-    def close_shard_workers(self) -> None:
-        """Release process-resident shard workers, syncing state back.
-
-        Delegating stacks running ``apply_batch_sharded`` with
-        ``workers="processes"`` keep the per-machine sub-schedulers
-        resident in worker processes between bursts; this pulls that
-        state back into memory and ends the worker processes. No-op for
-        every other scheduler and mode (any in-memory entry point also
-        performs it implicitly).
-        """
 
     def _batch_prepare(self, inserts: list[Job], *,
                        flexible: bool = False) -> None:

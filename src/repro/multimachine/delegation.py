@@ -22,30 +22,20 @@ Sharded burst execution: because machines never share scheduler state
 burst can be resolved up front into independent per-machine op streams
 (:meth:`DelegatingScheduler.plan_shard_execution` — the richer sibling
 of :meth:`DelegatingScheduler.machine_sub_batches`) and applied by one
-:class:`ShardWorker` per machine — serially in-process, or by
-*process-resident* workers (``workers="processes"``): each machine's
-sub-scheduler then lives persistently in a worker process across bursts
-(:mod:`repro.multimachine.procworkers`), the path with real
-parallelism. :meth:`DelegatingScheduler.apply_batch_sharded` then merges
-the per-shard touched-placement logs back into the machine-tagged placement
+:class:`ShardWorker` per machine, run serially in-process.
+:meth:`DelegatingScheduler.apply_batch_sharded` then merges the
+per-shard touched-placement logs back into the machine-tagged placement
 map, balancer, and ledger in global request order — bit-identical to
-sequential processing, with whole-burst rollback on any shard failure
-(including a worker process dying mid-burst, after which the worker is
-re-seeded from a state snapshot). While a process pool is open, the
-in-memory ``machines`` are stale; any in-memory entry point
-(``apply``, ``apply_batch``, serial sharded bursts) syncs the
-worker state back and closes the pool first, and
-:meth:`DelegatingScheduler.close_shard_workers` does so explicitly.
+sequential processing, with whole-burst rollback on any shard failure.
 The sharded drive backend (:mod:`repro.sim.session`) is its consumer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..core.base import (
-    SHARD_WORKER_MODES,
     ReallocatingScheduler,
     _BatchContext,
     resolve_batch_semantics,
@@ -55,9 +45,6 @@ from ..core.exceptions import InvalidRequestError, ReproError
 from ..core.job import Job, JobId, Placement
 from ..core.requests import Batch, DeleteJob, InsertJob, Request
 from ..core.window import Window
-
-if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type aliases
-    from .procworkers import ProcessShardPool
 
 _NOT_SEEN = object()
 
@@ -394,9 +381,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         #: per-batch round-robin plan: window -> machine queue for the
         #: batch's grouped inserts (invalidated per window by deletes)
         self._batch_plan: dict[Window, deque[int]] = {}
-        #: open process-resident worker pool (None = in-memory mode);
-        #: while open, ``self.machines`` entries are stale snapshots
-        self._shard_pool = None
 
     @property
     def placements(self) -> Mapping[JobId, Placement]:
@@ -422,7 +406,6 @@ class DelegatingScheduler(ReallocatingScheduler):
                 placements[job_id] = Placement(machine, pl.slot)
 
     def _apply_insert(self, job: Job) -> None:
-        self._leave_process_mode()
         plan = self._batch_plan
         if plan:
             queue = plan.get(job.window)
@@ -435,7 +418,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         self._sync_machine(machine, cost, job.id)
 
     def _apply_delete(self, job: Job) -> None:
-        self._leave_process_mode()
         if self._batch_plan:
             # A delete changes this window's round-robin position: the
             # rest of its planned insert machines would be stale.
@@ -652,7 +634,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         self,
         requests: Batch | Iterable[Request],
         *,
-        workers: str = "serial",
         record: bool = True,
         semantics: str = "strict",
     ) -> BatchResult:
@@ -666,28 +647,12 @@ class DelegatingScheduler(ReallocatingScheduler):
         in global request order into the incrementally-maintained
         machine-tagged placement map, the balancer, and the cost ledger.
 
-        ``workers`` selects how the per-machine workers run:
-
-        - ``"serial"`` (default) — one in-process :class:`ShardWorker`
-          per machine, run back to back;
-        - ``"processes"`` — *process-resident* workers
-          (:class:`~repro.multimachine.procworkers.ProcessShardPool`):
-          each machine's sub-scheduler lives persistently in a worker
-          process across bursts and only op streams cross the pipe —
-          the one mode with real parallelism. The pool opens lazily on
-          the first process burst and stays open until any in-memory
-          entry point syncs the state back (or
-          :meth:`close_shard_workers` is called).
-
         Sharded bursts are always transactional: a failure on any shard
         aborts every shard's batch context and reports
         ``rolled_back=True`` with the earliest failing request's index,
         leaving the scheduler in its exact pre-burst state (the merge
         phase, which is the only thing that mutates delegator-level
-        state, never ran). A worker *process* dying mid-burst is the
-        same failure path (``WorkerCrashError``), after which the dead
-        worker is re-seeded from its last state snapshot — the
-        scheduler stays usable.
+        state, never ran).
 
         ``record=False`` suspends ledger recording, for wrapper layers
         (alignment) that re-cost the burst against their own view.
@@ -700,10 +665,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         pairs as zero-cost entries) before recording, so callers see
         one cost per submitted request either way.
         """
-        if workers not in SHARD_WORKER_MODES:
-            raise ValueError(
-                f"workers must be one of {SHARD_WORKER_MODES}, "
-                f"got {workers!r}")
         resolve_batch_semantics(semantics)
         batch = requests if isinstance(requests, Batch) else Batch(requests)
         if self._batch is not None:
@@ -715,21 +676,16 @@ class DelegatingScheduler(ReallocatingScheduler):
                 "atomic batch contexts sharded bursts abort through"
             )
         if semantics == "flexible":
-            # Plan against the authoritative job set (synced back from
-            # any open worker pool first).
-            self._leave_process_mode()
             flex = self._plan_flexible(batch)
             if flex is not None:
-                return self._sharded_flexible(batch, flex, workers,
-                                              record=record)
+                return self._sharded_flexible(batch, flex, record=record)
             # Protocol-invalid op streams degrade to strict application.
-        return self._sharded_dispatch(batch, workers, record=record)
+        return self._sharded_dispatch(batch, record=record)
 
     def _sharded_flexible(
         self,
         batch: Batch,
         flex: "tuple[list[tuple[int, DeleteJob]], list[tuple[int, InsertJob]], list[tuple[int, Request]]]",
-        mode: str,
         *,
         record: bool,
     ) -> BatchResult:
@@ -738,7 +694,7 @@ class DelegatingScheduler(ReallocatingScheduler):
         planned = [*deletes, *inserts]
         order = [index for index, _ in planned]
         inner = self._sharded_dispatch(
-            Batch([request for _, request in planned]), mode, record=False)
+            Batch([request for _, request in planned]), record=False)
         if inner.failed:
             failed_index = inner.failed_index
             if failed_index is not None:
@@ -759,12 +715,9 @@ class DelegatingScheduler(ReallocatingScheduler):
         return BatchResult(costs=costs, net=inner.net, size=len(batch),
                            atomic=True)
 
-    def _sharded_dispatch(self, batch: Batch, mode: str, *,
+    def _sharded_dispatch(self, batch: Batch, *,
                           record: bool) -> BatchResult:
-        """Run one (already validated) burst in the selected worker mode."""
-        if mode == "processes":
-            return self._sharded_burst_processes(batch, record=record)
-        self._leave_process_mode()
+        """Run one (already validated) burst on serial shard workers."""
         try:
             plan = self.plan_shard_execution(batch)
         except ReproError as exc:
@@ -807,84 +760,6 @@ class DelegatingScheduler(ReallocatingScheduler):
             # BaseException path); the exception still propagates.
             for worker in workers:
                 worker.sub._batch_commit()
-        net = diff_touched(
-            batch_touched, self._placements,
-            kind="batch", subject="batch",
-            n_active=len(self.jobs), max_span=self._max_span_cache,
-        )
-        return BatchResult(costs=costs, net=net, size=len(batch), atomic=True)
-
-    # ------------------------------------------------------------------
-    # process-resident workers
-    # ------------------------------------------------------------------
-    def _ensure_shard_pool(self) -> ProcessShardPool:
-        pool = self._shard_pool
-        if pool is None:
-            from .procworkers import ProcessShardPool
-
-            pool = self._shard_pool = ProcessShardPool(self.machines)
-        return pool
-
-    def _leave_process_mode(self) -> None:
-        """Sync worker-resident state back and close the process pool.
-
-        Called by every in-memory entry point (``_apply_insert`` /
-        ``_apply_delete`` / ``_batch_begin`` / serial sharded bursts): while a process pool is open, the authoritative
-        sub-scheduler state lives in the workers, so it must be pulled
-        back before ``self.machines`` is used again. No-op when no pool
-        is open; the sync is exact (snapshots are taken at a burst
-        boundary; a dead worker's state is rebuilt deterministically).
-        """
-        pool = self._shard_pool
-        if pool is None:
-            return
-        self._shard_pool = None
-        try:
-            self.machines[:] = pool.sync_subs()
-        finally:
-            pool.close()
-
-    def close_shard_workers(self) -> None:
-        """Public spelling of :meth:`_leave_process_mode` (see base)."""
-        self._leave_process_mode()
-
-    def _sharded_burst_processes(self, batch: Batch, *,
-                                 record: bool) -> BatchResult:
-        """One burst through the process-resident worker pool.
-
-        Mirrors the in-process sharded path: plan, fan the op streams
-        out (over pipes instead of function calls), merge the per-shard
-        results in global request order, and deliver the commit verdict
-        — the workers hold their atomic batch contexts open until the
-        coordinator's verdict, so a failure anywhere rolls the whole
-        burst back before anything merges.
-        """
-        try:
-            plan = self.plan_shard_execution(batch)
-        except ReproError as exc:
-            return BatchResult(
-                costs=[], net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=None,
-                failure=f"{type(exc).__name__}: {exc}",
-                rolled_back=True, error=exc,
-            )
-        pool = self._ensure_shard_pool()
-        failure = pool.run_burst(plan)
-        if failure is not None:
-            failed_index, error = failure
-            return BatchResult(
-                costs=[], net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=failed_index,
-                failure=f"{type(error).__name__}: {error}",
-                rolled_back=True, error=error,
-            )
-        try:
-            costs, batch_touched = self._merge_shard_results(plan, record=record)
-        finally:
-            # The workers fully applied their streams; committing them is
-            # the consistent half even if the merge blows up (mirrors the
-            # in-process path). The exception still propagates.
-            pool.commit_burst()
         net = diff_touched(
             batch_touched, self._placements,
             kind="batch", subject="batch",
@@ -956,7 +831,6 @@ class DelegatingScheduler(ReallocatingScheduler):
     def _batch_begin(self, *, atomic: bool, top: bool,
                      ephemeral: bool = False,
                      emit_touched: bool = True) -> None:
-        self._leave_process_mode()
         super()._batch_begin(atomic=atomic, top=top, ephemeral=ephemeral,
                              emit_touched=emit_touched)
         if atomic and not ephemeral:

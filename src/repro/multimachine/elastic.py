@@ -8,17 +8,15 @@ layer: :class:`ElasticScheduler` extends the Section 3 reduction with
 per-window floor/ceil balance invariant with the *minimum* number of
 migrations, and measures that cost in the standard ledger.
 
-What the measurement shows (``bench_elastic.py``'s E13 — distinct from
-``bench_throughput.py``'s E13 process-worker bench): adding a machine
-to m machines costs about ``sum_W floor(n_W / (m+1))`` migrations —
-every window
-sheds its share to the newcomer, totalling ~n/(m+1) — and removing a
-machine costs ~n/m (its jobs must go somewhere). Both are Theta(n/m)
-per elasticity event, and that is optimal to within constants: any
-window whose jobs every machine must share forces Omega(n_W/m) moves
-onto a new machine, and a dropped machine's jobs must all move. So
-unlike inserts/deletes, elasticity events are inherently
-linear-in-load — a concrete negative observation for the open question.
+What the measurement shows (``bench_elastic.py``'s E13): adding a
+machine to m machines costs about ``sum_W floor(n_W / (m+1))``
+migrations — every window sheds its share to the newcomer, totalling
+~n/(m+1) — and removing a machine costs ~n/m (its jobs must go
+somewhere). Both are Theta(n/m) per elasticity event, and that is
+optimal to within constants: any window whose jobs every machine must
+share forces Omega(n_W/m) moves onto a new machine, and a dropped
+machine's jobs must all move. So unlike inserts/deletes, elasticity
+events are inherently linear-in-load — a concrete negative observation for the open question.
 
 The per-window *scheduling* after re-delegation is handled by the
 single-machine schedulers exactly as in Section 3; Lemma 3's argument
@@ -143,7 +141,6 @@ class ElasticScheduler(DelegatingScheduler):
             raise InvalidRequestError(
                 "machine pool changes are not allowed inside a batch"
             )
-        self._leave_process_mode()
         before = dict(self.placements)
         self.machines.append(self._factory())
         self.num_machines += 1
@@ -168,7 +165,6 @@ class ElasticScheduler(DelegatingScheduler):
             raise ValueError("cannot remove the last machine")
         if not 0 <= index < self.num_machines:
             raise ValueError(f"no machine {index}")
-        self._leave_process_mode()
         # Survivor machines above `index` shift down by one position.
         # That relabeling is bookkeeping, not movement, so the cost diff
         # compares against a relabel-corrected snapshot: only jobs that
@@ -205,10 +201,6 @@ class ElasticScheduler(DelegatingScheduler):
     def _execute(self, moves: list[Move],
                  evicted: dict[JobId, Job] | None = None) -> None:
         """Apply moves through the single-machine scheduler layers."""
-        # defensive: both callers already left process mode, but a
-        # worker-resident sub must never see a coordinator-side mutation
-        # (no-op when no pool is open)
-        self._leave_process_mode()
         evicted = evicted or {}
         for job_id, src, dst in moves:
             if src is None:

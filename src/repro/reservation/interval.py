@@ -135,26 +135,6 @@ class Interval:
         self._stale = True
 
     # ------------------------------------------------------------------
-    # serialization (worker-resident schedulers cross a process boundary)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Picklable state: everything but the scheduler-owned callables.
-
-        ``on_assign`` / ``on_release`` are bound methods of the owning
-        scheduler and ``undo_log`` is only ever set inside a request, so
-        all three are dropped; the scheduler's own ``__setstate__``
-        re-attaches its hooks to every interval it restores. The ``_ws``
-        cache rides along — its WindowState objects are shared with the
-        scheduler's own tables, so pickling the scheduler graph
-        preserves the identity.
-        """
-        state = self.__dict__.copy()
-        state["on_assign"] = None
-        state["on_release"] = None
-        state["undo_log"] = None
-        return state
-
-    # ------------------------------------------------------------------
     # geometry / demand
     # ------------------------------------------------------------------
     @property

@@ -14,12 +14,9 @@ mutation, replayed in reverse.
   allocating fresh ones per request/batch. A scope appends entries,
   replays them backwards on failure, and releases its storage with
   :meth:`UndoArena.truncate` — so the same storage is reused request
-  after request and, in worker-resident schedulers, burst after burst.
-  Every scope spans the whole arena (the per-request journal and the
-  atomic batch log never coexist on one scheduler). Arenas are
-  process-local scratch: pickling a scheduler drops its arena and a
-  fresh one is rebuilt on restore (journals are empty at every
-  serialization point anyway).
+  after request and burst after burst. Every scope spans the whole
+  arena (the per-request journal and the atomic batch log never coexist
+  on one scheduler).
 
 Opcode reference (entry layouts)
 --------------------------------

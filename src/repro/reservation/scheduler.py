@@ -203,8 +203,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         #: checking proxies that raise on unjournaled mutation inside
         #: an open request/batch scope (see repro.analysis.sanitize)
         self._sanitize = journal == "arena-sanitize"
-        #: reusable journal storage (per-request and per-atomic-batch);
-        #: process-local scratch, rebuilt fresh after unpickling
+        #: reusable journal storage (per-request and per-atomic-batch)
         self._arena = UndoArena()
         #: slot -> job id (single machine, so slots are global)
         self.slot_job: dict[int, JobId] = {}
@@ -246,42 +245,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             lv: self._make_level_probe(lv)
             for lv in range(1, policy.num_reservation_levels + 1)
         }
-
-    # ------------------------------------------------------------------
-    # serialization (worker-resident schedulers cross a process boundary)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Picklable snapshot, valid only between requests/batches.
-
-        The process-resident shard workers
-        (:mod:`repro.multimachine.procworkers`) ship scheduler state
-        across a process boundary exactly twice per worker lifetime —
-        seed and crash re-seed — so the only state excluded is the
-        per-level probe closures (rebuilt on restore) and the in-flight
-        request/batch journals, which are None at every burst boundary.
-        """
-        if (self._batch is not None or self._abatch is not None
-                or self._journal is not None):
-            raise InvalidRequestError(
-                "cannot serialize a scheduler with an open request or "
-                "batch context"
-            )
-        state = self.__dict__.copy()
-        del state["_level_probes"]
-        # the arena is process-local scratch (empty at every legal
-        # serialization point); the restored scheduler gets a fresh one
-        del state["_arena"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._arena = UndoArena()
-        levels = range(1, self.policy.num_reservation_levels + 1)
-        self._level_probes = {lv: self._make_level_probe(lv) for lv in levels}
-        for table in self.intervals.values():
-            for iv in table.values():
-                iv.on_assign = self._on_assign
-                iv.on_release = self._on_release
 
     # ------------------------------------------------------------------
     # ReallocatingScheduler interface
@@ -395,8 +358,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     def journal_entries_total(self) -> int:
         """Undo-journal entries recorded over this scheduler's lifetime.
 
-        Diagnostic counter (one tuple allocation per entry). Process-local
-        (resets when a scheduler crosses a pickle boundary).
+        Diagnostic counter (one tuple allocation per entry).
         """
         return self._arena.entries_total
 

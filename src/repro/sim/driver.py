@@ -85,7 +85,6 @@ def run_sequence(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str = "serial",
     verify_each: bool = True,
     verify_mode: str = "incremental",
     full_audit_every: int | None = None,
@@ -142,7 +141,6 @@ def run_sequence(
         atomic_batches=atomic_batches,
         batch_semantics=batch_semantics,
         backend=backend,
-        shard_workers=shard_workers,
         verify=verify_mode if verify_each else "off",
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -172,7 +170,6 @@ def run_comparison(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str = "serial",
     verify_each: bool = True,
     verify_mode: str = "incremental",
     validate_each: Callable[[ReallocatingScheduler], None] | None = None,
@@ -187,7 +184,6 @@ def run_comparison(
             atomic_batches=atomic_batches,
             batch_semantics=batch_semantics,
             backend=backend,
-            shard_workers=shard_workers,
             verify_each=verify_each,
             verify_mode=verify_mode,
             validate_each=validate_each,

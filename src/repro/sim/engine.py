@@ -141,7 +141,6 @@ def run_engine(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str = "serial",
     verify: str = "incremental",
     full_audit_every: int | None = None,
     validator: Callable[[ReallocatingScheduler], None] | None = None,
@@ -173,11 +172,6 @@ def run_engine(
     backend:
         ``"auto"`` (default), ``"sequential"``, ``"batched"``,
         ``"sharded"``, or a DriveBackend instance.
-    shard_workers:
-        Sharded backend: worker flavor — ``"serial"`` (default) or
-        ``"processes"`` (process-resident per-machine sub-schedulers;
-        the session releases them, syncing state back, when the run
-        ends).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
@@ -204,7 +198,6 @@ def run_engine(
         atomic_batches=atomic_batches,
         batch_semantics=batch_semantics,
         backend=backend,
-        shard_workers=shard_workers,
         verify=verify,
         full_audit_every=(full_audit_every if full_audit_every is not None
                           else DEFAULT_FULL_AUDIT_EVERY),
@@ -271,7 +264,6 @@ def run_sweep(
     atomic_batches: bool = False,
     batch_semantics: str = "strict",
     backend: "str | DriveBackend" = "auto",
-    shard_workers: str = "serial",
     verify: str = "incremental",
     full_audit_every: int | None = None,
     checkpoint_every: int = 0,
@@ -318,7 +310,6 @@ def run_sweep(
                 atomic_batches=atomic_batches,
                 batch_semantics=batch_semantics,
                 backend=backend,
-                shard_workers=shard_workers,
                 verify=verify,
                 full_audit_every=full_audit_every,
                 checkpoint_every=checkpoint_every,

@@ -24,26 +24,10 @@ all share now:
     sub-batch, and the per-shard touched logs merge back into the
     incrementally-maintained placement map with a merged-commit verify
     per batch. Requires a delegating scheduler stack
-    (``supports_sharded_batches()``). ``workers`` selects the worker
-    flavor — ``"serial"`` (in-process) or ``"processes"``: each
-    machine's sub-scheduler lives persistently in a worker process
-    across bursts (state never ships per burst; only op streams and
-    per-op touched logs cross the pipe), the flavor with real
-    parallelism on multicore hardware.
-
-    Process-worker lifecycle: the pool spawns lazily on the first
-    process burst, stays resident for the whole session, and is
-    released by the backend's ``finish`` hook when the session ends
-    (state syncs back into the in-memory scheduler, so the final audit
-    and any later in-memory use see live sub-schedulers). Failure
-    semantics: every sharded burst is transactional — a shard failure
-    or a worker-process crash rolls the whole burst back before
-    anything merges, crashed workers are re-seeded from their last
-    state snapshot plus a committed op-stream replay, and the session's
-    normal failure policy sees the burst's error
-    (:class:`~repro.core.exceptions.WorkerCrashError` for crashes); the
-    scheduler remains usable, so a traced session can resume across a
-    worker restart.
+    (``supports_sharded_batches()``). Every sharded burst is
+    transactional: a shard failure rolls the whole burst back before
+    anything merges, the session's normal failure policy sees the
+    burst's error, and the scheduler remains usable.
 
   All three backends produce identical placements, ledger entries, and
   max-span tracking on the same sequence (property-tested); they differ
@@ -80,11 +64,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from ..core.base import (
-    ReallocatingScheduler,
-    SHARD_WORKER_MODES,
-    resolve_batch_semantics,
-)
+from ..core.base import ReallocatingScheduler, resolve_batch_semantics
 from ..core.costs import BatchResult, CostLedger, RequestCost
 from ..core.exceptions import InvalidRequestError, ReproError
 from ..core.requests import Batch, InsertJob, Request, iter_batches
@@ -146,17 +126,12 @@ class ExecutionPlan:
         ``"sequential"``, ``"batched"``, ``"sharded"``, ``"auto"``
         (batched when ``batch_size > 1``, else sequential), or a
         ready-made :class:`DriveBackend` instance.
-    shard_workers:
-        Sharded backend only: the worker flavor — ``"serial"``
-        (default, in-process — see bench E12) or ``"processes"``
-        (process-resident per-machine sub-schedulers, the flavor with
-        real parallelism — see bench E13 and the module docstring for
-        lifecycle and failure semantics).
     verify:
         ``"incremental"`` (default), ``"full"``, or ``"off"``.
     full_audit_every:
         Full-audit period for incremental verification — THE default
-        lives here (:data:`DEFAULT_FULL_AUDIT_EVERY`).
+        lives here (:data:`DEFAULT_FULL_AUDIT_EVERY`; 0 disables
+        periodic audits).
     validator / validate_every:
         Optional invariant validator, called every ``validate_every``
         processed requests (0 disables); timed separately.
@@ -174,17 +149,20 @@ class ExecutionPlan:
         half of a resumable-run round trip (0 = off).
     trace_path / resume:
         JSONL trace file. With ``resume=True`` the session reads the
-        trace, replays the already-committed prefix (schedulers are
+        trace, replays the already-committed prefix through the plan's
+        own backend (same bursts, same semantics — schedulers are
         deterministic, so the replay reproduces placements and ledger
         bit for bit), seeds the verifier mirror, and continues from the
         last checkpoint, appending to the trace.
+
+    The four cadences (``full_audit_every``, ``validate_every``,
+    ``checkpoint_every``, ``stop_after``) must be >= 0.
     """
 
     batch_size: int = 1
     atomic_batches: bool = False
     batch_semantics: str = "strict"
     backend: "str | DriveBackend" = "auto"
-    shard_workers: str = "serial"
     verify: str = "incremental"
     full_audit_every: int = DEFAULT_FULL_AUDIT_EVERY
     validator: Callable[[ReallocatingScheduler], None] | None = None
@@ -204,12 +182,14 @@ class ExecutionPlan:
         if isinstance(self.backend, str) and self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.shard_workers not in SHARD_WORKER_MODES:
-            raise ValueError(
-                f"shard_workers must be one of {SHARD_WORKER_MODES}, "
-                f"got {self.shard_workers!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for cadence in ("full_audit_every", "validate_every",
+                        "checkpoint_every", "stop_after"):
+            if getattr(self, cadence) < 0:
+                raise ValueError(
+                    f"{cadence} must be >= 0 (0 = off), "
+                    f"got {getattr(self, cadence)}")
         resolve_batch_semantics(self.batch_semantics)
 
 
@@ -257,14 +237,6 @@ class DriveBackend:
               step: Any) -> StepOutcome:
         raise NotImplementedError
 
-    def finish(self, scheduler: ReallocatingScheduler) -> None:
-        """Hook: release backend-held resources at session end.
-
-        Runs on every exit path (success, failure, interruption). The
-        sharded backend uses it to release process-resident shard
-        workers, syncing their state back into the scheduler.
-        """
-
 
 class SequentialBackend(DriveBackend):
     """The classic per-request loop: one ``scheduler.apply`` per step."""
@@ -311,23 +283,14 @@ class ShardedBackend(DriveBackend):
     one shard worker applies each machine's stream, and the per-shard
     touched logs merge into the incrementally-maintained placement map;
     the session then verifies the merged commit once per batch. Bursts
-    are always transactional (a shard failure — or a worker-process
-    crash — rolls the burst back wholesale).
-
-    ``workers`` selects the worker flavor (``"serial"`` or
-    ``"processes"``); with ``"processes"`` the per-machine
-    sub-schedulers live in persistent worker processes for the whole
-    session and :meth:`finish` syncs their state back and releases them
-    on every exit path (see the module docstring for the lifecycle and
-    failure semantics).
+    are always transactional (a shard failure rolls the burst back
+    wholesale).
     """
 
     name = "sharded"
     chunked = True
 
-    def __init__(self, *, workers: str = "serial",
-                 semantics: str = "strict") -> None:
-        self.workers = workers
+    def __init__(self, *, semantics: str = "strict") -> None:
         self.semantics = resolve_batch_semantics(semantics)
 
     def prepare(self, scheduler: ReallocatingScheduler,
@@ -346,14 +309,9 @@ class ShardedBackend(DriveBackend):
 
     def apply(self, scheduler: ReallocatingScheduler,
               step: Batch) -> StepOutcome:
-        result = scheduler.apply_batch_sharded(step, workers=self.workers,
-                                               semantics=self.semantics)
+        result = scheduler.apply_batch_sharded(step, semantics=self.semantics)
         return StepOutcome(processed=result.processed, batch=result,
                            error=result.error if result.failed else None)
-
-    def finish(self, scheduler: ReallocatingScheduler) -> None:
-        if self.workers == "processes":
-            scheduler.close_shard_workers()
 
 
 def resolve_backend(plan: ExecutionPlan) -> DriveBackend:
@@ -368,8 +326,7 @@ def resolve_backend(plan: ExecutionPlan) -> DriveBackend:
     if backend == "batched":
         return BatchedBackend(atomic=plan.atomic_batches,
                               semantics=plan.batch_semantics)
-    return ShardedBackend(workers=plan.shard_workers,
-                          semantics=plan.batch_semantics)
+    return ShardedBackend(semantics=plan.batch_semantics)
 
 
 # ----------------------------------------------------------------------
@@ -543,26 +500,15 @@ class Session:
             resume_from = self._prepare_resume(fingerprint)
             trace = SessionTrace(plan.trace_path, append=resume_from > 0)
 
-        perf = time.perf_counter
-        t0 = perf()
-        replay_s = 0.0
-        if resume_from:
-            for request in islice(iter(self.sequence), 0, resume_from):
-                scheduler.apply(request)
-            replay_s = perf() - t0
-            if verifier is not None:
-                verifier.seed(scheduler, processed=resume_from)
-
-        if trace is not None:
-            if resume_from:
-                trace.write({"type": "resume", "processed": resume_from,
-                             "replay_s": round(replay_s, 4)})
-            else:
-                trace.write(self._header(fingerprint))
+        if trace is not None and not resume_from:
+            trace.write(self._header(fingerprint))
         cadence = plan.checkpoint_every or (
             DEFAULT_TRACE_CHECKPOINT_EVERY if trace is not None else 0)
 
-        processed = resume_from
+        perf = time.perf_counter
+        t0 = perf()
+        replay_s = 0.0
+        processed = 0
         sched_s = verify_s = validate_s = 0.0
         checkpoints: list[Checkpoint] = []
         last_marker = resume_from
@@ -624,6 +570,22 @@ class Session:
 
         try:
             backend.prepare(scheduler, plan)
+            if resume_from:
+                # Replay the committed prefix through the plan's own
+                # backend: resume_from sits on a burst boundary, so the
+                # bursts (and flexible plans) match the original run.
+                prefix = islice(iter(self.sequence), resume_from)
+                for step in backend.steps(prefix, plan):
+                    outcome = backend.apply(scheduler, step)
+                    processed += outcome.processed
+                    if outcome.error is not None:
+                        raise outcome.error
+                replay_s = perf() - t0
+                if verifier is not None:
+                    verifier.seed(scheduler, processed=resume_from)
+                if trace is not None:
+                    trace.write({"type": "resume", "processed": resume_from,
+                                 "replay_s": round(replay_s, 4)})
             for step in backend.steps(self.sequence, plan, skip=resume_from):
                 ta = perf()
                 outcome = backend.apply(scheduler, step)
@@ -656,10 +618,6 @@ class Session:
                     if not checkpoints or checkpoints[-1].processed != processed:
                         checkpoint()
                     break
-            # Release backend resources before the final audit so
-            # process-resident worker state is synced back and the audit
-            # (and any caller) sees live in-memory sub-schedulers.
-            backend.finish(scheduler)
             if verifier is not None and not interrupted:
                 ta = perf()
                 verifier.full_audit(scheduler)
@@ -670,11 +628,6 @@ class Session:
                 finish(failure)
                 raise
             return finish(failure)
-        finally:
-            # Safety net for the failure/interrupt exit paths (the
-            # success path already ran this before the final audit);
-            # idempotent — a released pool is a no-op.
-            backend.finish(scheduler)
         return finish()
 
     # ------------------------------------------------------------------

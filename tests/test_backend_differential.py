@@ -1,14 +1,14 @@
-"""Differential fuzz harness across all four drive backends.
+"""Differential fuzz harness across all three drive backends.
 
 The contract every backend must satisfy (and the property every prior
 PR pinned with hand-written cases): sequential apply, batched
-``apply_batch`` (atomic or not), sharded-serial, and sharded-process
-execution of the same request sequence produce identical placements,
+``apply_batch`` (atomic or not), and sharded-serial execution of the
+same request sequence produce identical placements,
 ledger entries, max-span tracking, and active-job sets.
 
 This harness scales that from hand-written cases to seeded random
 sequences: mixed insert/delete churn at several machine counts, batch
-sizes, and atomicity settings, driven through all four backends and
+sizes, and atomicity settings, driven through all three backends and
 compared field by field. On a mismatch it *shrinks* by bisecting the
 sequence prefix to the shortest failing length before reporting — and
 names WHICH comparison stage diverged (placements vs ledger vs
@@ -39,7 +39,7 @@ from repro.sim.incremental import IncrementalVerifier
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
 from repro.workloads.scenarios import iter_burst_arrivals, iter_churn_storm
 
-BACKENDS = ("sequential", "batched", "sharded-serial", "sharded-process")
+BACKENDS = ("sequential", "batched", "sharded-serial")
 
 #: the comparison stages, in fingerprint-tuple order (satellite of the
 #: flexible-semantics work: failures name the diverging stage)
@@ -58,23 +58,16 @@ def drive(sched, requests, backend, *, batch_size, atomic,
             if verifier is not None:
                 verifier.observe(sched, cost)
         return
-    try:
-        for burst in iter_batches(requests, batch_size):
-            if backend == "batched":
-                result = sched.apply_batch(burst, atomic=atomic,
-                                           semantics=semantics)
-            elif backend == "sharded-serial":
-                result = sched.apply_batch_sharded(burst, semantics=semantics)
-            else:
-                result = sched.apply_batch_sharded(burst, workers="processes",
-                                                   semantics=semantics)
-            if result.failed:
-                raise AssertionError(
-                    f"{backend} burst failed: {result.failure}")
-            if verifier is not None:
-                verifier.verify_batch(sched, result)
-    finally:
-        sched.close_shard_workers()
+    for burst in iter_batches(requests, batch_size):
+        if backend == "batched":
+            result = sched.apply_batch(burst, atomic=atomic,
+                                       semantics=semantics)
+        else:
+            result = sched.apply_batch_sharded(burst, semantics=semantics)
+        if result.failed:
+            raise AssertionError(f"{backend} burst failed: {result.failure}")
+        if verifier is not None:
+            verifier.verify_batch(sched, result)
 
 
 def fingerprint(sched):
@@ -279,7 +272,7 @@ def test_differential_mixed_churn(machines, batch_size, atomic,
 
 @pytest.mark.parametrize("machines,batch_size", [(3, 64), (4, 16)])
 def test_differential_scenario_shapes(machines, batch_size):
-    """Scenario-shaped streams (storms, focused bursts) through all four
+    """Scenario-shaped streams (storms, focused bursts) through all three
     backends — the shapes that stress delete-side rebalancing and the
     delegator's per-window grouping hardest."""
     from itertools import islice
@@ -296,7 +289,7 @@ def test_differential_scenario_shapes(machines, batch_size):
 
 
 # Flexible semantics: seeded property tests over random churn for all
-# four backends x atomic on/off, compared in bounds mode against the
+# three backends x atomic on/off, compared in bounds mode against the
 # strict sequential oracle (same shrink-on-failure prefix bisection).
 FLEXIBLE_MATRIX = [
     # (machines, batch_size, atomic, delete_fraction, seed)

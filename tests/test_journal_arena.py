@@ -17,8 +17,8 @@ caches must come back consistent too). The paths:
 - deep atomic-batch aborts through the aligned, Theorem 1 (m=1, m=3)
   and deamortized stacks,
 - trimming rebuilds replaced mid-batch and discarded on abort,
-- process-worker crash rollback (whole-burst abort + worker re-seed,
-  exercising arena reuse across bursts and across pickling).
+- sharded-burst aborts (one shard worker fails, every shard's applied
+  ops roll back, exercising arena reuse across bursts).
 
 "Bit-identical" is a deep structural fingerprint: placements, job
 tables, per-interval reservations/assignments/allowances, and
@@ -33,7 +33,7 @@ import random
 import pytest
 
 from repro.core.api import ReservationScheduler
-from repro.core.exceptions import ReproError, WorkerCrashError
+from repro.core.exceptions import InfeasibleError, ReproError
 from repro.core.job import Job
 from repro.core.requests import DeleteJob, InsertJob, iter_batches
 from repro.core.window import Window
@@ -450,68 +450,73 @@ def test_sequential_rebuild_journal_diet_oracle_unchanged():
 
 
 # ----------------------------------------------------------------------
-# process-worker crash rollback
+# sharded-burst abort
 # ----------------------------------------------------------------------
+#: same-window span-1 inserts in a slot the workloads never reach: on
+#: three machines round-robin sends the fourth back to machine 0, whose
+#: one slot is taken, so it raises InfeasibleError
+PINS = [InsertJob(Job(f"pin-{i}", Window(1 << 12, (1 << 12) + 1)))
+        for i in range(4)]
+
+
 def _sharded(sched, requests):
     for chunk in iter_batches(requests, 32):
-        result = sched.apply_batch_sharded(chunk, workers="processes")
+        result = sched.apply_batch_sharded(chunk)
         assert not result.failed, result.failure
 
 
-def _crash_matches_replay(seq, split, crash_after):
-    """Crash a worker mid-burst; the rolled-back stack must equal a
-    fresh one fed the committed prefix through the same entry point,
-    before and after both retry the burst and finish the stream."""
-    prefix, burst, rest = seq[:split], seq[split:split + 32], seq[split + 32:]
+def _crash_matches_replay(prefix, burst, rest):
+    """Fail one shard worker mid-burst; the rolled-back stack must equal
+    a fresh one fed the committed prefix through the same entry point,
+    before and after both finish the stream.
+
+    Returns the stack and the position of the failing op (``pin-3``)
+    in machine 0's op stream; machines 1 and 2 must apply ops in the
+    same burst.
+    """
     sched = ReservationScheduler(3, gamma=8)
     reference = ReservationScheduler(3, gamma=8)
-    try:
-        _sharded(sched, prefix)
-        sched.delegator._shard_pool.crash_worker_after(1, crash_after)
-        result = sched.apply_batch_sharded(burst, workers="processes")
-        assert result.failed and result.rolled_back
-        assert isinstance(result.error, WorkerCrashError)
-        _sharded(reference, prefix)
-        # sync both back and compare the rolled-back state deeply
-        sched.close_shard_workers()
-        reference.close_shard_workers()
-        assert stack_fingerprint(sched) == stack_fingerprint(reference)
-        # the same burst retries cleanly on the re-seeded workers
-        _sharded(sched, burst + rest)
-        _sharded(reference, burst + rest)
-        sched.close_shard_workers()
-        reference.close_shard_workers()
-        assert stack_fingerprint(sched) == stack_fingerprint(reference)
-        assert sched.ledger.entries == reference.ledger.entries
-    finally:
-        sched.close_shard_workers()
-        reference.close_shard_workers()
-    return sched
+    _sharded(sched, prefix)
+    _sharded(reference, prefix)
+    plan = sched.delegator.plan_shard_execution(burst)
+    assert plan.per_machine[1] and plan.per_machine[2]
+    stream = [op.job_id for op in plan.per_machine[0]]
+    result = sched.apply_batch_sharded(burst)
+    assert result.failed and result.rolled_back
+    assert isinstance(result.error, InfeasibleError)
+    assert burst[result.failed_index].job.id == "pin-3"
+    assert stack_fingerprint(sched) == stack_fingerprint(reference)
+    assert sched.ledger.entries == reference.ledger.entries
+    _sharded(sched, rest)
+    _sharded(reference, rest)
+    assert stack_fingerprint(sched) == stack_fingerprint(reference)
+    assert sched.ledger.entries == reference.ledger.entries
+    return sched, stream.index("pin-3")
 
 
-def test_procworker_crash_rollback_identical():
-    """A worker process dying mid-burst rolls the whole burst back (the
-    arena crossing the pickle boundary and being reused across bursts),
-    and the stack recovers to the sequential end state."""
-    seq = make_workload(500, seed=19, machines=3)
-    sched = _crash_matches_replay(seq, 256, 2)
+def test_sharded_abort_on_first_op_identical():
+    """Machine 0 fails on the first op of its stream while machines 1
+    and 2 apply theirs; the whole burst rolls back."""
+    seq = make_workload(400, seed=19, machines=3)
+    prefix = seq[:256] + PINS[:3]
+    burst = [PINS[3]] + seq[256:287]
+    _, failing_op = _crash_matches_replay(prefix, burst, seq[256:])
+    assert failing_op == 0
+
+
+def test_sharded_abort_mid_stream_identical():
+    """Machine 0 applies part of its stream (workload ops and pin-0)
+    before pin-3 fails; every shard's applied ops roll back (placement
+    maps rewound from their batch touched logs), and the stack recovers
+    to the sequential end state."""
+    seq = make_workload(400, seed=31, machines=3)
+    prefix, tail = seq[:192], seq[192:]
+    burst = tail[:16] + PINS + tail[16:28]
+    sched, failing_op = _crash_matches_replay(prefix, burst, tail)
+    assert failing_op >= 2
     sequential = replayed(lambda: ReservationScheduler(3, gamma=8), seq)
     assert dict(sched.placements) == dict(sequential.placements)
     assert sched.ledger.entries == sequential.ledger.entries
-
-
-def test_unpickled_scheduler_gets_fresh_arena():
-    import pickle
-
-    sched = AlignedReservationScheduler()
-    for r in make_workload(80, seed=2):
-        sched.apply(r)
-    clone = pickle.loads(pickle.dumps(sched))
-    assert clone._arena is not sched._arena
-    assert not clone._arena.entries and clone._arena.entries_total == 0
-    # the restored scheduler journals and rolls back normally
-    clone.insert(Job("fill2", Window(2, 3)))
-    assert aligned_fingerprint(clone)[:5] != aligned_fingerprint(sched)[:5]
 
 
 # ----------------------------------------------------------------------
@@ -602,11 +607,3 @@ def test_placement_diet_atomic_abort_identical(name, machines, factory,
     assert result.failed and result.rolled_back
     assert journaled == []
     assert_matches_replay(sched, replayed(factory, prefix), inside + after)
-
-
-def test_placement_diet_procworker_crash_identical():
-    """A worker process dying before its first op of a burst: the
-    surviving workers abort their applied ops (placement maps rewound
-    from their batch touched logs), the dead one is re-seeded, and the
-    stack matches the replay reference too."""
-    _crash_matches_replay(make_workload(400, seed=31, machines=3), 192, 0)

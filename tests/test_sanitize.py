@@ -17,7 +17,6 @@ fingerprints bit-identical to the plain arena run (and no reports).
 from __future__ import annotations
 
 import inspect
-import pickle
 
 import pytest
 
@@ -154,20 +153,6 @@ class TestSanitizeMode:
             ["arena-sanitize"] * len(layers))
         assert isinstance(trimmed.inner._placements, SanitizedDict)
         assert isinstance(deamortized.active._placements, SanitizedDict)
-
-    def test_proxies_survive_pickle_and_stay_armed(self):
-        sched = aligned_sanitized()
-        for i in range(6):
-            sched.insert(Job(f"j{i}", Window(0, 64)))
-        restored = pickle.loads(pickle.dumps(sched))
-        assert isinstance(restored._placements, SanitizedDict)
-        assert isinstance(restored.slot_job, SanitizedDict)
-        assert restored._placements._owner is restored
-        assert dict(restored.placements) == dict(sched.placements)
-        # the restored instance still schedules (and still checks)
-        restored.insert(Job("post", Window(0, 64)))
-        restored.delete("j2")
-        assert "post" in restored.placements and "j2" not in restored.placements
 
     def test_atomic_batches_run_clean_under_sanitize(self):
         sched = ReservationScheduler(3, gamma=8, journal="arena-sanitize")

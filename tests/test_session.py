@@ -218,26 +218,39 @@ def test_full_audit_default_defined_once_on_the_plan():
 # ----------------------------------------------------------------------
 # trace + resume (satellite)
 # ----------------------------------------------------------------------
-def test_resume_round_trip_matches_uninterrupted(tmp_path):
+RESUME_PLANS = [
+    ("sequential", dict(backend="sequential")),
+    ("batched-strict", dict(backend="batched", batch_size=64)),
+    ("batched-flexible", dict(backend="batched", batch_size=64,
+                              batch_semantics="flexible")),
+    ("sharded-strict", dict(backend="sharded", batch_size=64)),
+    ("sharded-flexible", dict(backend="sharded", batch_size=64,
+                              batch_semantics="flexible")),
+]
+
+
+@pytest.mark.parametrize("kwargs", [kw for _, kw in RESUME_PLANS],
+                         ids=[name for name, _ in RESUME_PLANS])
+def test_resume_round_trip_matches_uninterrupted(tmp_path, kwargs):
+    """The resumed run replays its prefix through the plan's own
+    backend, so flexible bursts come out as in the uninterrupted run."""
     seq = churn_storm_sequence(requests=2500, seed=3, num_machines=3)
     trace = tmp_path / "run.jsonl"
 
     full_sched = ReservationScheduler(3, gamma=8)
-    full = run_engine(full_sched, seq, batch_size=64, backend="sharded",
-                      checkpoint_every=500)
+    full = run_engine(full_sched, seq, checkpoint_every=500, **kwargs)
 
     part_sched = ReservationScheduler(3, gamma=8)
-    partial = run_engine(part_sched, seq, batch_size=64, backend="sharded",
-                         checkpoint_every=500, trace_path=trace,
-                         stop_after=1000)
+    partial = run_engine(part_sched, seq, checkpoint_every=500,
+                         trace_path=trace, stop_after=1000, **kwargs)
     assert partial.interrupted and partial.requests_processed < len(seq)
     records = SessionTrace.read_records(trace)
     assert records[0]["type"] == "header"
     assert SessionTrace.final_record(records) is None  # killed mid-run
 
     res_sched = ReservationScheduler(3, gamma=8)
-    resumed = run_engine(res_sched, seq, batch_size=64, backend="sharded",
-                         checkpoint_every=500, trace_path=trace, resume=True)
+    resumed = run_engine(res_sched, seq, checkpoint_every=500,
+                         trace_path=trace, resume=True, **kwargs)
     assert resumed.resumed_from == partial.requests_processed
     assert resumed.requests_processed == len(seq)
     assert not resumed.interrupted
@@ -411,6 +424,20 @@ def test_plan_validation():
         ExecutionPlan(backend="quantum")
     with pytest.raises(ValueError):
         ExecutionPlan(batch_size=0)
+    # negative cadences used to slip through (stop_after=-3 ended a run
+    # after one request; checkpoint_every=-100 silently disabled the
+    # checkpoints a trace needs to resume); 0 still means off
+    for cadence in ("full_audit_every", "validate_every",
+                    "checkpoint_every", "stop_after"):
+        with pytest.raises(ValueError, match=cadence):
+            ExecutionPlan(**{cadence: -1})
+        ExecutionPlan(**{cadence: 0})
+    with pytest.raises(ValueError, match="stop_after"):
+        run_engine(ReservationScheduler(1, gamma=8), make_workload(50),
+                   stop_after=-3)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run_engine(ReservationScheduler(1, gamma=8), make_workload(50),
+                   checkpoint_every=-100)
 
 
 def test_auto_backend_resolution():
@@ -433,3 +460,23 @@ def test_adapters_share_the_session_loop():
     assert rs.ledger.summary() == re_.ledger_summary
     assert rs.requests_processed == re_.requests_processed == len(seq)
     assert rs.audit_time_s >= 0 and re_.audit_time_s >= 0
+
+
+def test_resume_replay_failure_follows_the_failure_policy(tmp_path):
+    """A prefix replay that fails is a run failure like any other: a
+    failed result (or a raise under stop_on_error) and a closed trace
+    ending in a final record."""
+    seq = [insert(f"j{i}", 1, 4097) for i in range(96)]
+    trace = tmp_path / "run.jsonl"
+    run_engine(ReservationScheduler(1, gamma=8), seq, batch_size=16,
+               checkpoint_every=32, trace_path=trace, stop_after=32)
+    # the aligned core rejects the unaligned window on the first replay
+    resumed = run_engine(AlignedReservationScheduler(), seq, batch_size=16,
+                         trace_path=trace, resume=True)
+    assert resumed.failed and "not aligned" in resumed.failure
+    assert resumed.resumed_from == 32 and resumed.requests_processed == 0
+    final = SessionTrace.final_record(SessionTrace.read_records(trace))
+    assert final is not None and final["failed"]
+    with pytest.raises(InvalidRequestError):
+        run_engine(AlignedReservationScheduler(), seq, batch_size=16,
+                   trace_path=trace, resume=True, stop_on_error=True)

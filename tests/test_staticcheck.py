@@ -36,14 +36,14 @@ from repro.analysis.staticcheck import (
 )
 
 CONTRACT_RULES = {
-    "journal-coverage", "determinism", "pickle-boundary",
-    "rollback-safety", "typing-coverage",
+    "journal-coverage", "determinism", "rollback-safety",
+    "typing-coverage",
 }
 HOT_RULES = {
     "hot-closures", "hot-comprehensions", "hot-attr-chains",
     "hot-complexity", "hot-allocations",
 }
-STATEFLOW_RULES = {"exception-flow", "state-boundary"}
+STATEFLOW_RULES = {"exception-flow"}
 STRICT_RULES = CONTRACT_RULES | STATEFLOW_RULES
 
 RESERVATION = "reservation/fixture.py"
@@ -66,7 +66,7 @@ def codes(report) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class TestEngine:
-    def test_registry_has_all_twelve_families(self):
+    def test_registry_has_all_ten_families(self):
         assert set(registered_rules()) == STRICT_RULES | HOT_RULES
 
     def test_hot_rules_are_ratcheted_and_strict_rules_are_not(self):
@@ -84,10 +84,10 @@ class TestEngine:
 
     def test_select_narrows_the_resolved_set(self):
         assert ({r.name for r in resolve_rules(select=["exception-flow"])}
-                == {"exception-flow"})
-        assert ({r.name for r in
-                 resolve_rules(select=["exception-flow", "state-boundary"])}
                 == STATEFLOW_RULES)
+        assert ({r.name for r in
+                 resolve_rules(select=["exception-flow", "determinism"])}
+                == {"exception-flow", "determinism"})
 
     def test_select_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -291,77 +291,6 @@ class TestDeterminism:
             return sorted(items, key=str)
         """
         assert codes(run(src, only="determinism")) == []
-
-
-# ---------------------------------------------------------------------------
-# pickle-boundary (PKL001 / PKL002)
-# ---------------------------------------------------------------------------
-
-# the PR 4 stale-closure bug shape: hooks captured `self`, the class
-# pickled fine, and the restored copy's hooks silently mutated the
-# *dead* pre-pickle scheduler
-STALE_CLOSURE_FIXTURE = """
-class HookedInterval:
-    def __init__(self) -> None:
-        self.on_assign = lambda w, s: self._record(w, s)
-"""
-
-
-class TestPickleBoundary:
-    def test_lambda_on_self_without_getstate_is_flagged(self):
-        assert codes(run(STALE_CLOSURE_FIXTURE, only="pickle-boundary")) == ["PKL001"]
-
-    def test_setstate_rebuilding_closures_passes(self):
-        src = STALE_CLOSURE_FIXTURE + """
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self.on_assign = lambda w, s: self._record(w, s)
-"""
-        assert codes(run(src, only="pickle-boundary")) == []
-
-    def test_closure_factory_result_on_self_is_flagged(self):
-        src = """
-        class Scheduler:
-            def __init__(self) -> None:
-                self.hook = self._make_hook()
-
-            def _make_hook(self):
-                def on_event(w, s):
-                    return self
-                return on_event
-        """
-        assert codes(run(src, only="pickle-boundary")) == ["PKL001"]
-
-    def test_resource_on_self_is_flagged(self):
-        src = """
-        import threading
-
-        class Pool:
-            def __init__(self) -> None:
-                self._lock = threading.Lock()
-        """
-        assert codes(run(src, only="pickle-boundary")) == ["PKL002"]
-
-    def test_scope_excludes_worker_infrastructure(self):
-        # procworkers itself lives in multimachine/, outside the
-        # shipped-state scope: its Locks/Pipes never cross the pipe
-        src = """
-        import threading
-
-        class Pool:
-            def __init__(self) -> None:
-                self._lock = threading.Lock()
-        """
-        assert codes(run(src, "multimachine/procworkers.py", only="pickle-boundary")) == []
-
-    def test_plain_attribute_assignments_pass(self):
-        src = """
-        class Interval:
-            def __init__(self) -> None:
-                self.assigned = {}
-                self.undo_log = []
-        """
-        assert codes(run(src, only="pickle-boundary")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -573,126 +502,6 @@ class TestExceptionFlow:
                     raise
         """
         assert codes(run(src, only="exception-flow")) == []
-
-
-# ---------------------------------------------------------------------------
-# state-boundary (SER001 / SER002)
-# ---------------------------------------------------------------------------
-
-class TestStateBoundary:
-    def test_dropped_field_never_rebuilt_is_flagged(self):
-        # the PR 4 stale-closure shape, field-precise: __getstate__
-        # drops a hook closure and __setstate__ forgets to rebuild it
-        src = """
-        class AlignedReservationScheduler:
-            def __init__(self, policy) -> None:
-                self.policy = policy
-                self.on_assign = self._make_hook()
-
-            def _make_hook(self):
-                def hook(window, slot):
-                    return (window, slot)
-                return hook
-
-            def __getstate__(self):
-                state = dict(self.__dict__)
-                del state["on_assign"]
-                return state
-
-            def __setstate__(self, state) -> None:
-                self.__dict__.update(state)
-        """
-        report = run(src, only="state-boundary")
-        assert codes(report) == ["SER001"]
-        assert report.findings[0].context == (
-            "AlignedReservationScheduler.__getstate__")
-
-    def test_dropped_field_rebuilt_directly_passes(self):
-        src = """
-        class AlignedReservationScheduler:
-            def __init__(self, policy) -> None:
-                self.policy = policy
-                self.on_assign = self._make_hook()
-
-            def _make_hook(self):
-                def hook(window, slot):
-                    return (window, slot)
-                return hook
-
-            def __getstate__(self):
-                state = dict(self.__dict__)
-                del state["on_assign"]
-                return state
-
-            def __setstate__(self, state) -> None:
-                self.__dict__.update(state)
-                self.on_assign = self._make_hook()
-        """
-        assert codes(run(src, only="state-boundary")) == []
-
-    def test_dropped_field_rebuilt_transitively_passes(self):
-        src = """
-        class AlignedReservationScheduler:
-            def __init__(self, policy) -> None:
-                self.policy = policy
-                self.on_assign = self._make_hook()
-
-            def _make_hook(self):
-                def hook(window, slot):
-                    return (window, slot)
-                return hook
-
-            def _rebuild_hooks(self) -> None:
-                self.on_assign = self._make_hook()
-
-            def __getstate__(self):
-                state = dict(self.__dict__)
-                state.pop("on_assign", None)
-                return state
-
-            def __setstate__(self, state) -> None:
-                self.__dict__.update(state)
-                self._rebuild_hooks()
-        """
-        assert codes(run(src, only="state-boundary")) == []
-
-    def test_coordinator_mutation_without_leaving_process_mode_is_flagged(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self.machines[0].insert(job)
-        """
-        report = run(src, "multimachine/fixture.py", only="state-boundary")
-        assert codes(report) == ["SER002"]
-
-    def test_leaving_process_mode_first_passes(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self._leave_process_mode()
-                self.machines[0].insert(job)
-        """
-        assert codes(
-            run(src, "multimachine/fixture.py", only="state-boundary")) == []
-
-    def test_process_mode_rule_is_scoped_to_multimachine(self):
-        src = """
-        class DelegatingScheduler:
-            def _leave_process_mode(self) -> None:
-                self._shard_pool = None
-
-            def rebalance(self, job) -> None:
-                self.machines[0].insert(job)
-        """
-        # SER002 models the worker-pool split, which only exists in the
-        # delegation layer
-        assert "SER002" not in codes(run(src, only="state-boundary"))
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +895,8 @@ class TestCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["lint", "--select", "exception-flow,state-boundary"])
-        assert args.select == "exception-flow,state-boundary"
+            ["lint", "--select", "exception-flow,determinism"])
+        assert args.select == "exception-flow,determinism"
 
 
 # ---------------------------------------------------------------------------
