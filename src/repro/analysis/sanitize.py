@@ -38,6 +38,7 @@ rebuilds — are always legal.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -110,7 +111,9 @@ class SanitizedDict(dict):
 
     ``kind`` selects the atomic-scope discipline (see the module
     docstring); ``owner`` is the scheduler whose journal state is
-    consulted.
+    consulted. The owner is held through a :func:`weakref.proxy`: the
+    owner holds the proxy, so a strong reference back would make every
+    sanitized scheduler a reference cycle.
     """
 
     _owner: Any
@@ -122,7 +125,7 @@ class SanitizedDict(dict):
         super().__init__(data)
         self._label = label
         self._kind = kind
-        self._owner = owner
+        self._owner = weakref.proxy(owner)
 
     # -- the guard ------------------------------------------------------
     def _report(self, key: Any, why: str) -> None:

@@ -89,7 +89,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Iterable, Mapping
 
-from .costs import BatchResult, CostLedger, RequestCost, diff_placements, diff_touched
+from .costs import (EMPTY_IDS, BatchResult, CostLedger, RequestCost,
+                    diff_placements, diff_touched)
 from .exceptions import InvalidRequestError, ReproError
 from .job import Job, JobId, Placement
 from .requests import Batch, DeleteJob, InsertJob, Request
@@ -472,17 +473,34 @@ class ReallocatingScheduler(abc.ABC):
             else:
                 self._batch_commit()
             raise
+        try:
+            return self._finish_batch(costs, size=len(batch), atomic=atomic,
+                                      error=error, failed_index=failed_index)
+        finally:
+            # A caught error's traceback holds this frame, so a frame
+            # still holding the error is a reference cycle that pins
+            # the whole stack until the cyclic collector runs.
+            error = None
+
+    def _finish_batch(self, costs: list[RequestCost], *, size: int,
+                      atomic: bool, error: ReproError | None,
+                      failed_index: int | None) -> BatchResult:
+        """Close the open batch and report it.
+
+        An atomic batch that failed rolls back; otherwise the batch
+        commits with its net diff over whatever committed — on a
+        non-atomic failure the touched log covers exactly the committed
+        prefix (the failing request was rolled back before its touches
+        merged).
+        """
+        failure = None if error is None else f"{type(error).__name__}: {error}"
         if error is not None and atomic:
             self._batch_abort()
             return BatchResult(
-                costs=costs, net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=failed_index,
-                failure=f"{type(error).__name__}: {error}",
+                costs=costs, net=None, size=size, atomic=True,
+                failed=True, failed_index=failed_index, failure=failure,
                 rolled_back=True, error=error,
             )
-        # Net diff over whatever committed — on a non-atomic failure the
-        # touched log covers exactly the committed prefix (the failing
-        # request was rolled back before its touches merged).
         ctx = self._batch
         if self._sparse_costing:
             net = diff_touched(
@@ -498,11 +516,9 @@ class ReallocatingScheduler(abc.ABC):
             )
         self._batch_commit()
         return BatchResult(
-            costs=costs, net=net, size=len(batch), atomic=atomic,
+            costs=costs, net=net, size=size, atomic=atomic,
             failed=error is not None, failed_index=failed_index,
-            failure=(None if error is None
-                     else f"{type(error).__name__}: {error}"),
-            error=error,
+            failure=failure, error=error,
         )
 
     # ------------------------------------------------------------------
@@ -588,7 +604,7 @@ class ReallocatingScheduler(abc.ABC):
             kind, subject = "delete", request.job_id
         return RequestCost(
             kind=kind, subject=subject,
-            rescheduled=frozenset(), migrated=frozenset(),
+            rescheduled=EMPTY_IDS, migrated=EMPTY_IDS,
             n_active=len(self.jobs), max_span=self._max_span_cache,
         )
 
@@ -641,47 +657,25 @@ class ReallocatingScheduler(abc.ABC):
             else:
                 self._batch_commit()
             raise
-        if error is not None and atomic:
-            self._batch_abort()
-            return BatchResult(
-                costs=applied, net=None, size=len(batch), atomic=True,
-                failed=True, failed_index=failed_index,
-                failure=f"{type(error).__name__}: {error}",
-                rolled_back=True, error=error,
-            )
-        ctx = self._batch
-        # Per-request ledger entries return to arrival order; elided
-        # net-zero pairs commit as explicit zero-cost entries. On a
-        # non-atomic failure only the applied planned prefix (plus the
-        # no-op elided pairs) committed — failed_index names the failing
-        # request's arrival position.
-        by_index: dict[int, RequestCost] = {
-            planned[k][0]: applied[k] for k in range(len(applied))
-        }
-        for index, request in elided:
-            by_index[index] = self._elided_cost(request)
-        costs = [by_index[i] for i in sorted(by_index)]
-        self.ledger.entries[ctx.ledger_len:] = costs
-        if self._sparse_costing:
-            net = diff_touched(
-                ctx.touched, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        else:
-            net = diff_placements(
-                ctx.before, self.placements,
-                kind="batch", subject="batch",
-                n_active=len(self.jobs), max_span=self._max_span_cache,
-            )
-        self._batch_commit()
-        return BatchResult(
-            costs=costs, net=net, size=len(batch), atomic=atomic,
-            failed=error is not None, failed_index=failed_index,
-            failure=(None if error is None
-                     else f"{type(error).__name__}: {error}"),
-            error=error,
-        )
+        costs = applied
+        if error is None or not atomic:
+            # Per-request ledger entries return to arrival order; elided
+            # net-zero pairs commit as explicit zero-cost entries. On a
+            # non-atomic failure only the applied planned prefix (plus
+            # the no-op elided pairs) committed — failed_index names the
+            # failing request's arrival position.
+            by_index: dict[int, RequestCost] = {
+                planned[k][0]: applied[k] for k in range(len(applied))
+            }
+            for index, request in elided:
+                by_index[index] = self._elided_cost(request)
+            costs = [by_index[i] for i in sorted(by_index)]
+            self.ledger.entries[self._batch.ledger_len:] = costs
+        try:
+            return self._finish_batch(costs, size=len(batch), atomic=atomic,
+                                      error=error, failed_index=failed_index)
+        finally:
+            error = None  # see apply_batch
 
     # ------------------------------------------------------------------
     # batch plumbing (overridden by wrapper schedulers)

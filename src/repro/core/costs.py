@@ -24,6 +24,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .job import JobId, Placement
 
+#: the one empty id set every zero-cost :class:`RequestCost` shares;
+#: most requests move nothing, and each layer of a stack keeps its own
+#: ledger, so a fresh pair of empty frozensets per entry adds up
+EMPTY_IDS: frozenset = frozenset()
+
 
 @dataclass(frozen=True, slots=True)
 class RequestCost:
@@ -90,8 +95,8 @@ def diff_placements(
     return RequestCost(
         kind=kind,
         subject=subject,
-        rescheduled=frozenset(rescheduled),
-        migrated=frozenset(migrated),
+        rescheduled=frozenset(rescheduled) if rescheduled else EMPTY_IDS,
+        migrated=frozenset(migrated) if migrated else EMPTY_IDS,
         n_active=n_active,
         max_span=max_span,
     )
@@ -130,8 +135,8 @@ def diff_touched(
     return RequestCost(
         kind=kind,
         subject=subject,
-        rescheduled=frozenset(rescheduled),
-        migrated=frozenset(migrated),
+        rescheduled=frozenset(rescheduled) if rescheduled else EMPTY_IDS,
+        migrated=frozenset(migrated) if migrated else EMPTY_IDS,
         n_active=n_active,
         max_span=max_span,
     )

@@ -36,7 +36,18 @@ hashing anywhere on the mutation path:
 
 The legacy Window-keyed mappings (``lower_occupied``, ``dynamic_res``,
 ``assigned``, ``slot_owner``) survive as derived read-only properties —
-the validation layer cross-checks them against the flattened forms.
+the validation layer cross-checks them against the flattened forms. The
+enclosing-window tuple behind them (``_windows``) is built on first use:
+nothing on the mutation path reads it.
+
+Assignment hooks. The scheduler keeps its backed-slot indexes current
+through two hooks — ``on_assign(ws, slot)`` / ``on_release(ws, slot)``
+— that the mutators which can change an assignment (:meth:`rebalance`,
+:meth:`slot_lowered`, :meth:`swap_slots`, :meth:`materialize`) take as
+arguments, exactly as :meth:`rebalance` takes its occupancy probes. An
+interval never stores a hook or any other reference to its scheduler,
+so a scheduler and its intervals form a tree that reference counting
+frees as soon as the scheduler is dropped.
 
 The fulfillment target is *memoized* (``_tlist`` / ``_tvalid``) and
 maintained incrementally where the slack structure allows: whenever the
@@ -78,8 +89,6 @@ class Interval:
 
     def __init__(self, *, level: int, index: int, lo: int, hi: int,
                  enclosing_spans: tuple[int, ...],
-                 on_assign: Callable | None = None,
-                 on_release: Callable | None = None,
                  undo_log: list | None = None) -> None:
         self.level = level
         self.index = index
@@ -90,19 +99,13 @@ class Interval:
         #: bit length of the smallest enclosing span (ladder-position
         #: arithmetic base, hoisted out of the hot ``_pos`` lookup)
         self._span_bits0 = enclosing_spans[0].bit_length()
-        #: scheduler hooks fired on every assignment change (slot gained /
-        #: lost by a window state); None outside a scheduler (unit tests)
-        self.on_assign = on_assign
-        self.on_release = on_release
         #: when set (by the scheduler, per request), every mutation appends
         #: its inverse here — replayed in reverse to roll back a failure
         self.undo_log = undo_log
         span = hi - lo
         npos = len(enclosing_spans)
-        #: enclosing-window tuple, one per ladder position (immutable)
-        self._windows: tuple[Window, ...] = tuple(
-            aligned_window_covering(lo, s) for s in enclosing_spans
-        )
+        #: enclosing-window tuple, built on first use (see ``_windows``)
+        self._window_cache: tuple[Window, ...] | None = None
         #: per-slot lower-occupied bits (index = slot - lo)
         self._lower = bytearray(span)
         #: popcount of ``_lower`` (allowance size = span - _n_lower)
@@ -143,6 +146,20 @@ class Interval:
 
     def slots(self) -> range:
         return range(self.lo, self.hi)
+
+    @property
+    def _windows(self) -> tuple[Window, ...]:
+        """Enclosing-window tuple, one per ladder position (built lazily).
+
+        Only the derived views and validation read it; the mutation path
+        addresses windows by ladder position.
+        """
+        windows = self._window_cache
+        if windows is None:
+            lo = self.lo
+            windows = self._window_cache = tuple(
+                aligned_window_covering(lo, s) for s in self.enclosing_spans)
+        return windows
 
     def enclosing_windows(self) -> list[Window]:
         """All legal level-l windows containing this interval, shortest first."""
@@ -349,7 +366,8 @@ class Interval:
     # assignment primitives (keep slots, counts, free index, hooks, undo
     # log consistent in one place)
     # ------------------------------------------------------------------
-    def _do_assign(self, pos: int, slot: int) -> None:
+    def _do_assign(self, pos: int, slot: int,
+                   on_assign: Callable | None) -> None:
         self._aslots[pos].add(slot)
         self._owner[slot - self.lo] = pos
         self._counts[pos] += 1
@@ -360,7 +378,6 @@ class Interval:
         log = self.undo_log
         if log is not None:
             log.append((OP_ASSIGN, self, pos, slot))
-        on_assign = self.on_assign
         if on_assign is not None:
             ws = self._ws[pos]
             if ws is not None:
@@ -374,7 +391,8 @@ class Interval:
         self._dirty.add(pos)
         self._stale = True
 
-    def _do_release(self, pos: int, slot: int) -> None:
+    def _do_release(self, pos: int, slot: int,
+                    on_release: Callable | None) -> None:
         self._aslots[pos].discard(slot)
         self._owner[slot - self.lo] = -1
         self._counts[pos] -= 1
@@ -384,7 +402,6 @@ class Interval:
         log = self.undo_log
         if log is not None:
             log.append((OP_RELEASE, self, pos, slot))
-        on_release = self.on_release
         if on_release is not None:
             ws = self._ws[pos]
             if ws is not None:
@@ -401,11 +418,12 @@ class Interval:
     # ------------------------------------------------------------------
     # allowance mutation
     # ------------------------------------------------------------------
-    def slot_lowered(self, slot: int) -> None:
+    def slot_lowered(self, slot: int,
+                     on_release: Callable | None = None) -> None:
         """A job of level < l now occupies ``slot`` (it leaves the allowance).
 
-        Any assignment backing the slot is revoked; the caller must
-        rebalance afterwards.
+        Any assignment backing the slot is revoked (reported through
+        ``on_release``); the caller must rebalance afterwards.
         """
         if not self.lo <= slot < self.hi:
             raise ValueError(f"slot {slot} outside interval [{self.lo},{self.hi})")
@@ -426,7 +444,6 @@ class Interval:
         if log is not None:
             log.append((OP_LOWERED, self, slot, opos))
         self._note_allowance_shrunk(opos >= 0)
-        on_release = self.on_release
         if opos >= 0 and on_release is not None:
             ws = self._ws[opos]
             if ws is not None:
@@ -472,10 +489,23 @@ class Interval:
         self._stale = True
 
     # ------------------------------------------------------------------
-    # materialization seeding
+    # materialization (pre-publication)
     # ------------------------------------------------------------------
-    def seed_lower(self, slots: list[int]) -> None:
-        """Seed lower-occupied membership at materialization time.
+    def materialize(
+        self,
+        lowered: list[int],
+        empty_at: Callable[[int], bool],
+        on_assign: Callable | None = None,
+    ) -> None:
+        """Seed a fresh interval: lower-occupied slots, then baseline fill.
+
+        Gives exactly the state that marking ``lowered`` and running one
+        :meth:`rebalance` would: with no dynamic reservations the target
+        grants one slot to each of the first ``min(positions,
+        allowance)`` ladder positions, filled in position order from the
+        allowance — truly empty slots first, then slots under
+        higher-level jobs. One pass instead of a reconciliation plus a
+        one-slot assign per position.
 
         Exempt from per-mutation journaling: the scheduler journals the
         materialization wholesale (an ``OP_POP`` dropping the interval
@@ -485,18 +515,47 @@ class Interval:
         lower = self._lower
         lo = self.lo
         added = 0
-        for s in slots:
+        for s in lowered:
             i = s - lo
             if not lower[i]:
                 lower[i] = 1
                 added += 1
         self._n_lower += added
-        owner = self._owner
-        self._free = [s for s in range(lo, self.hi)
-                      if not lower[s - lo] and owner[s - lo] < 0]
-        self._tvalid = False
-        self._dirty_all = True
-        self._stale = True
+        free = self._free
+        if added:
+            free = [s for s in free if not lower[s - lo]]
+        k = min(len(self._dyn), len(free))
+        if k:
+            empties: list[int] = []
+            covered: list[int] = []
+            for s in free:
+                if empty_at(s):
+                    empties.append(s)
+                    if len(empties) == k:
+                        break
+                else:
+                    covered.append(s)
+            pool = (empties + covered)[:k]
+            aslots = self._aslots
+            owner = self._owner
+            counts = self._counts
+            tlist = self._tlist
+            ws_list = self._ws
+            for pos, s in enumerate(pool):
+                aslots[pos].add(s)
+                owner[s - lo] = pos
+                counts[pos] = 1
+                tlist[pos] = 1
+                if on_assign is not None:
+                    ws = ws_list[pos]
+                    if ws is not None:
+                        on_assign(ws, s)
+            taken = set(pool)
+            free = [s for s in free if s not in taken]
+        self._free = free
+        self._tvalid = True
+        self._dirty_all = False
+        self._stale = False
 
     # ------------------------------------------------------------------
     # assignment reconciliation
@@ -505,6 +564,8 @@ class Interval:
         self,
         level_job_at: Callable[[int], JobId | None],
         empty_at: Callable[[int], bool],
+        on_assign: Callable | None = None,
+        on_release: Callable | None = None,
     ) -> list[JobId]:
         """Reconcile slot assignments with :meth:`target_fulfilled`.
 
@@ -518,6 +579,10 @@ class Interval:
             slot -> True iff *no* job of any level occupies it. Used to
             prefer truly empty slots when assigning, minimizing future
             cross-level displacement.
+        on_assign / on_release:
+            ``(window_state, slot)`` hooks fired for every assignment
+            gained / lost by a position whose window state is published
+            (None outside a scheduler).
 
         Returns the level-l jobs whose backing slot was revoked; the
         scheduler must MOVE each of them.
@@ -578,9 +643,9 @@ class Interval:
                 else:
                     occupied.append(s)
             for s in empties:
-                self._do_release(pos, s)
+                self._do_release(pos, s, on_release)
             for s in occupied[:excess - len(empties)]:
-                self._do_release(pos, s)
+                self._do_release(pos, s, on_release)
                 job = level_job_at(s)
                 if job is not None:
                     revoked.append(job)
@@ -610,7 +675,7 @@ class Interval:
                         "fulfillment exceeds allowance"
                     )
                 for s in pool[fi:fi + need]:
-                    self._do_assign(pos, s)
+                    self._do_assign(pos, s, on_assign)
                 fi += need
         self._stale = False
         return revoked
@@ -618,7 +683,9 @@ class Interval:
     # ------------------------------------------------------------------
     # swap support (the MOVE trick of Figure 1, lines 12-13)
     # ------------------------------------------------------------------
-    def swap_slots(self, s1: int, s2: int) -> None:
+    def swap_slots(self, s1: int, s2: int,
+                   on_assign: Callable | None = None,
+                   on_release: Callable | None = None) -> None:
         """Exchange the roles of two slots in this interval's bookkeeping.
 
         Swaps allowance membership and assignment ownership. Used by
@@ -628,14 +695,15 @@ class Interval:
         """
         if s1 == s2:
             return
-        self._swap_raw(s1, s2, fire_hooks=True)
+        self._swap_raw(s1, s2, on_assign, on_release)
         log = self.undo_log
         if log is not None:
-            # the raw swap is an involution; hooks are not refired on
-            # undo (the scheduler's window-state journal restores those)
+            # the raw swap is an involution; the undo replays it without
+            # hooks (the scheduler's window-state journal restores those)
             log.append((OP_SWAP, self, s1, s2))
 
-    def _swap_raw(self, s1: int, s2: int, *, fire_hooks: bool) -> None:
+    def _swap_raw(self, s1: int, s2: int, on_assign: Callable | None,
+                  on_release: Callable | None) -> None:
         lo = self.lo
         i1 = s1 - lo
         i2 = s2 - lo
@@ -648,31 +716,29 @@ class Interval:
         owner[i1] = owner[i2] = -1
         aslots = self._aslots
         ws_list = self._ws
-        on_release = self.on_release
-        on_assign = self.on_assign
         if o1 >= 0:
             aslots[o1].discard(s1)
-            if fire_hooks and on_release is not None:
+            if on_release is not None:
                 ws = ws_list[o1]
                 if ws is not None:
                     on_release(ws, s1)
         if o2 >= 0:
             aslots[o2].discard(s2)
-            if fire_hooks and on_release is not None:
+            if on_release is not None:
                 ws = ws_list[o2]
                 if ws is not None:
                     on_release(ws, s2)
         if o1 >= 0:
             owner[i2] = o1
             aslots[o1].add(s2)
-            if fire_hooks and on_assign is not None:
+            if on_assign is not None:
                 ws = ws_list[o1]
                 if ws is not None:
                     on_assign(ws, s2)
         if o2 >= 0:
             owner[i1] = o2
             aslots[o2].add(s1)
-            if fire_hooks and on_assign is not None:
+            if on_assign is not None:
                 ws = ws_list[o2]
                 if ws is not None:
                     on_assign(ws, s1)

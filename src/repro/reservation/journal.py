@@ -96,9 +96,9 @@ def replay_entries(entries: list) -> None:
         elif op == OP_RAISED:
             e[1]._undo_slot_raised(e[2])
         elif op == OP_SWAP:
-            # the raw swap is an involution; hooks are not refired on
-            # undo (the window-state journal entries restore those)
-            e[1]._swap_raw(e[2], e[3], fire_hooks=False)
+            # the raw swap is an involution; it replays without hooks
+            # (the window-state journal entries restore those)
+            e[1]._swap_raw(e[2], e[3], None, None)
         elif op == OP_PLACE:
             e[1]._undo_place(e[2], e[3])
         elif op == OP_UNPLACE:

@@ -94,7 +94,7 @@ from ..core.exceptions import (
     UnderallocationError,
 )
 from ..core.job import Job, JobId, Placement
-from ..core.window import Window
+from ..core.window import Window, aligned_window_covering
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from .interval import Interval
 from .journal import (
@@ -227,10 +227,10 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         #: snapshot log while an *atomic* batch is open (replaces the
         #: per-request journal for the duration of the batch)
         self._abatch: _AtomicBatchLog | None = None
-        # Sanitizer proxies must replace the containers BEFORE the
-        # hooks/probes below are built: those closures capture the
-        # container objects by reference, and a later rebind would
-        # split reads (stale plain dicts) from writes (the proxies).
+        # Sanitizer proxies must replace the containers BEFORE the level
+        # probes below are built: those closures capture the container
+        # objects by reference, and a later rebind would split reads
+        # (stale plain dicts) from writes (the proxies).
         if self._sanitize:
             install_sanitizer(self)
         #: level -> bit shift mapping a slot to its interval index
@@ -245,6 +245,16 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             lv: self._make_level_probe(lv)
             for lv in range(1, policy.num_reservation_levels + 1)
         }
+        #: level -> legal window spans, one tuple shared by the level's
+        #: intervals (index 0 is unused padding)
+        self._enclosing_spans = [()] + [
+            tuple(policy.enclosing_spans(lv))
+            for lv in range(1, policy.num_reservation_levels + 1)
+        ]
+        #: level -> one past the highest interval ladder position any
+        #: window state of that level has used (never lowered; a fresh
+        #: interval seeds its ``_ws`` cache only below it)
+        self._ws_hwm = [0] * (policy.num_reservation_levels + 1)
 
     # ------------------------------------------------------------------
     # ReallocatingScheduler interface
@@ -594,13 +604,14 @@ class AlignedReservationScheduler(ReallocatingScheduler):
     # backed-slot indexes (PLACE/MOVE fast path)
     # ------------------------------------------------------------------
     def _on_assign(self, ws: WindowState, slot: int) -> None:
-        """Interval callback: ``slot`` newly backs a reservation of ``ws``.
+        """Interval hook: ``slot`` newly backs a reservation of ``ws``.
 
-        Intervals resolve the window state themselves through their
-        ``_ws`` ladder cache (and skip the call while it is None, i.e.
-        before the state is published), so the hook is one bound method
-        shared by every interval — no per-level closures, no window
-        hashing on the hot path.
+        Passed per call to the interval mutators, never stored on an
+        interval (a stored bound method would make every interval a
+        reference cycle through its scheduler). Intervals resolve the
+        window state themselves through their ``_ws`` ladder cache (and
+        skip the call while it is None, i.e. before the state is
+        published), so there is no window hashing on the hot path.
         """
         # inlined dedup fast path: _jwindow_state is a no-op once the
         # state is snapshotted this request (the common case)
@@ -614,7 +625,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         # own-level occupant: slot backs its own job, in neither index
 
     def _on_release(self, ws: WindowState, slot: int) -> None:
-        """Interval callback: ``slot`` no longer backs ``ws``."""
+        """Interval hook: ``slot`` no longer backs ``ws``."""
         if self._journal is None or id(ws) not in self._jseen:
             self._jwindow_state(ws)
         ws.backed_empty.discard(slot)
@@ -659,7 +670,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         their baseline fulfillments, as the seed's PLACE scan did
         implicitly), then seeds the backed indexes from the live
         assignments. The window state is published only afterwards, so
-        the materialization rebalances cannot double-count through the
+        the materialization fills cannot double-count through the
         assignment hooks.
         """
         states = self.window_states[level]
@@ -685,9 +696,11 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 elif levels[occ] != level:
                     backed_covered_add(s)
         ws.ladder_pos = pos
+        if pos >= self._ws_hwm[level]:
+            self._ws_hwm[level] = pos + 1
         # Publish the ladder-cache references only after seeding: the
-        # materialization rebalances above ran with _ws[pos] still None,
-        # so their assignment hooks could not double-count.
+        # materialization fills above ran with _ws[pos] still None, so
+        # their assignment hooks could not double-count.
         for iv in member_ivs:
             self._jws_slot(iv, pos)
             iv._ws[pos] = ws
@@ -834,7 +847,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             iv = self.intervals[lv].get(idx_old)
             if iv is not None:
                 self._jtouch(iv)
-                iv.swap_slots(old, new)
+                iv.swap_slots(old, new, self._on_assign, self._on_release)
         self._reclassify_backed(old)
         self._reclassify_backed(new)
 
@@ -865,7 +878,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             if iv is not None:
                 if not iv._lower[slot - iv.lo]:
                     self._jtouch(iv)
-                    iv.slot_lowered(slot)
+                    iv.slot_lowered(slot, self._on_release)
                 self._rebalance(iv)
         if displaced is not None:
             self._place(displaced, self.jobs[displaced].window, displaced_level)
@@ -887,7 +900,8 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             return  # nothing changed since the last reconciliation
         if iv.undo_log is None:  # inlined _jtouch first-touch guard
             self._jtouch(iv)
-        revoked = iv.rebalance(self._level_probes[iv.level], self._empty_at)
+        revoked = iv.rebalance(self._level_probes[iv.level], self._empty_at,
+                               self._on_assign, self._on_release)
         for job_id in revoked:
             self._move(job_id, iv.level)
 
@@ -974,38 +988,36 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         if iv is not None:
             return iv
         span = self.policy.interval_span(level)
+        lo = index * span
         iv = Interval(
-            level=level, index=index,
-            lo=index * span, hi=(index + 1) * span,
-            enclosing_spans=tuple(self.policy.enclosing_spans(level)),
-            on_assign=self._on_assign,
-            on_release=self._on_release,
+            level=level, index=index, lo=lo, hi=lo + span,
+            enclosing_spans=self._enclosing_spans[level],
         )
         slot_job = self.slot_job
         levels = self._job_levels
         lowered = [s for s in iv.slots()
                    if (occ := slot_job.get(s)) is not None
                    and levels[occ] < level]
-        if lowered:
-            iv.seed_lower(lowered)
         # Seed the ladder cache from the already-published window states
-        # (fresh intervals start with every _ws entry None).
+        # (fresh intervals start with every _ws entry None). No window
+        # state of this level has used a position at or above the
+        # high-water mark, so only the positions below it are looked up.
         states = self.window_states[level]
-        if states:
+        hwm = self._ws_hwm[level]
+        if states and hwm:
             ws_list = iv._ws
-            for pos, w in enumerate(iv._windows):
-                ws_list[pos] = states.get(w)
+            spans = iv.enclosing_spans
+            for pos in range(hwm):
+                ws_list[pos] = states.get(aligned_window_covering(lo, spans[pos]))
         journal = self._journal
         if journal is not None:
             journal.append((OP_POP, table, index))
         elif self._abatch is not None and self._abatch.track:
             self._abatch.created.append((table, index))
         table[index] = iv
-        # Establish baseline fulfillments; a fresh interval has no
-        # assignments, so nothing can be revoked.
-        revoked = iv.rebalance(self._level_job_at(level), self._empty_at)
-        if revoked:  # pragma: no cover - impossible on a fresh interval
-            raise AssertionError("fresh interval revoked jobs")
+        # Lower-occupied seed plus baseline fulfillments in one pass; a
+        # fresh interval has no assignments, so nothing can be revoked.
+        iv.materialize(lowered, self._empty_at, self._on_assign)
         return iv
 
     def _make_level_probe(self, level: int) -> Callable[[int], JobId | None]:
@@ -1026,9 +1038,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 return occ
             return None
         return probe
-
-    def _level_job_at(self, level: int) -> Callable[[int], JobId | None]:
-        return self._level_probes[level]
 
     def _empty_at(self, slot: int) -> bool:
         return slot not in self.slot_job

@@ -243,8 +243,15 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
 
     def _batch_commit(self) -> None:
         self._flex_final_hint = None
+        saved = self._batch.saved.get("trim")
         super()._batch_commit()
         self.inner._batch_commit()
+        if saved is not None and saved[0] is not self.inner:
+            # A rebuild replaced the pre-batch inner mid-batch: close its
+            # batch scope too, or its intervals and its arena journal
+            # keep pointing at each other and only the cyclic collector
+            # frees the discarded schedule.
+            saved[0]._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
         # If a rebuild replaced the inner mid-batch, the saved pre-batch
