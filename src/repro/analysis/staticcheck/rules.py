@@ -209,9 +209,9 @@ COMMON_EXEMPT = ("__init__", "_undo_*")
 JOURNAL_CONTRACTS: dict[str, JournalContract] = {
     "Interval": JournalContract(
         attrs=INTERVAL_ATTRS,
-        # materialize is pre-publication setup on a fresh interval (no
+        # seed_lower is pre-publication setup on a fresh interval (no
         # journal scope can observe it yet), like __init__
-        exempt=COMMON_EXEMPT + ("_swap_raw", "materialize"),
+        exempt=COMMON_EXEMPT + ("_swap_raw", "seed_lower"),
     ),
     "AlignedReservationScheduler": JournalContract(
         attrs=SCHEDULER_ATTRS,

@@ -280,10 +280,20 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
                                        ephemeral=ephemeral)
 
     def _batch_commit(self) -> None:
+        saved = self._batch.saved.get("deam")
         super()._batch_commit()
         self.active._batch_commit()
         if self.incoming is not None:
             self.incoming._batch_commit()
+        if saved is not None:
+            # A phase that finished mid-batch retired a pre-batch inner:
+            # close its batch scope too, or its intervals and its arena
+            # journal keep pointing at each other and only the cyclic
+            # collector frees the retired schedule.
+            for inner in (saved[2], saved[3]):
+                if (inner is not None and inner is not self.active
+                        and inner is not self.incoming):
+                    inner._batch_commit()
 
     def _batch_restore(self, ctx: _BatchContext) -> None:
         (self.parity, self.incoming_parity, self.active, self.incoming,

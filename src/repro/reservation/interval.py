@@ -43,11 +43,11 @@ nothing on the mutation path reads it.
 Assignment hooks. The scheduler keeps its backed-slot indexes current
 through two hooks — ``on_assign(ws, slot)`` / ``on_release(ws, slot)``
 — that the mutators which can change an assignment (:meth:`rebalance`,
-:meth:`slot_lowered`, :meth:`swap_slots`, :meth:`materialize`) take as
-arguments, exactly as :meth:`rebalance` takes its occupancy probes. An
-interval never stores a hook or any other reference to its scheduler,
-so a scheduler and its intervals form a tree that reference counting
-frees as soon as the scheduler is dropped.
+:meth:`slot_lowered`, :meth:`swap_slots`) take as arguments, exactly as
+:meth:`rebalance` takes its occupancy probes. An interval never stores
+a hook or any other reference to its scheduler, so a scheduler and its
+intervals form a tree that reference counting frees as soon as the
+scheduler is dropped.
 
 The fulfillment target is *memoized* (``_tlist`` / ``_tvalid``) and
 maintained incrementally where the slack structure allows: whenever the
@@ -489,23 +489,10 @@ class Interval:
         self._stale = True
 
     # ------------------------------------------------------------------
-    # materialization (pre-publication)
+    # materialization seeding
     # ------------------------------------------------------------------
-    def materialize(
-        self,
-        lowered: list[int],
-        empty_at: Callable[[int], bool],
-        on_assign: Callable | None = None,
-    ) -> None:
-        """Seed a fresh interval: lower-occupied slots, then baseline fill.
-
-        Gives exactly the state that marking ``lowered`` and running one
-        :meth:`rebalance` would: with no dynamic reservations the target
-        grants one slot to each of the first ``min(positions,
-        allowance)`` ladder positions, filled in position order from the
-        allowance — truly empty slots first, then slots under
-        higher-level jobs. One pass instead of a reconciliation plus a
-        one-slot assign per position.
+    def seed_lower(self, slots: list[int]) -> None:
+        """Seed lower-occupied membership at materialization time.
 
         Exempt from per-mutation journaling: the scheduler journals the
         materialization wholesale (an ``OP_POP`` dropping the interval
@@ -515,47 +502,18 @@ class Interval:
         lower = self._lower
         lo = self.lo
         added = 0
-        for s in lowered:
+        for s in slots:
             i = s - lo
             if not lower[i]:
                 lower[i] = 1
                 added += 1
         self._n_lower += added
-        free = self._free
-        if added:
-            free = [s for s in free if not lower[s - lo]]
-        k = min(len(self._dyn), len(free))
-        if k:
-            empties: list[int] = []
-            covered: list[int] = []
-            for s in free:
-                if empty_at(s):
-                    empties.append(s)
-                    if len(empties) == k:
-                        break
-                else:
-                    covered.append(s)
-            pool = (empties + covered)[:k]
-            aslots = self._aslots
-            owner = self._owner
-            counts = self._counts
-            tlist = self._tlist
-            ws_list = self._ws
-            for pos, s in enumerate(pool):
-                aslots[pos].add(s)
-                owner[s - lo] = pos
-                counts[pos] = 1
-                tlist[pos] = 1
-                if on_assign is not None:
-                    ws = ws_list[pos]
-                    if ws is not None:
-                        on_assign(ws, s)
-            taken = set(pool)
-            free = [s for s in free if s not in taken]
-        self._free = free
-        self._tvalid = True
-        self._dirty_all = False
-        self._stale = False
+        owner = self._owner
+        self._free = [s for s in range(lo, self.hi)
+                      if not lower[s - lo] and owner[s - lo] < 0]
+        self._tvalid = False
+        self._dirty_all = True
+        self._stale = True
 
     # ------------------------------------------------------------------
     # assignment reconciliation

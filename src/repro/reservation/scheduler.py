@@ -251,10 +251,6 @@ class AlignedReservationScheduler(ReallocatingScheduler):
             tuple(policy.enclosing_spans(lv))
             for lv in range(1, policy.num_reservation_levels + 1)
         ]
-        #: level -> one past the highest interval ladder position any
-        #: window state of that level has used (never lowered; a fresh
-        #: interval seeds its ``_ws`` cache only below it)
-        self._ws_hwm = [0] * (policy.num_reservation_levels + 1)
 
     # ------------------------------------------------------------------
     # ReallocatingScheduler interface
@@ -670,7 +666,7 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         their baseline fulfillments, as the seed's PLACE scan did
         implicitly), then seeds the backed indexes from the live
         assignments. The window state is published only afterwards, so
-        the materialization fills cannot double-count through the
+        the materialization rebalances cannot double-count through the
         assignment hooks.
         """
         states = self.window_states[level]
@@ -696,11 +692,9 @@ class AlignedReservationScheduler(ReallocatingScheduler):
                 elif levels[occ] != level:
                     backed_covered_add(s)
         ws.ladder_pos = pos
-        if pos >= self._ws_hwm[level]:
-            self._ws_hwm[level] = pos + 1
         # Publish the ladder-cache references only after seeding: the
-        # materialization fills above ran with _ws[pos] still None, so
-        # their assignment hooks could not double-count.
+        # materialization rebalances above ran with _ws[pos] still None,
+        # so their assignment hooks could not double-count.
         for iv in member_ivs:
             self._jws_slot(iv, pos)
             iv._ws[pos] = ws
@@ -998,26 +992,28 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         lowered = [s for s in iv.slots()
                    if (occ := slot_job.get(s)) is not None
                    and levels[occ] < level]
+        if lowered:
+            iv.seed_lower(lowered)
         # Seed the ladder cache from the already-published window states
-        # (fresh intervals start with every _ws entry None). No window
-        # state of this level has used a position at or above the
-        # high-water mark, so only the positions below it are looked up.
+        # (fresh intervals start with every _ws entry None). Windows are
+        # looked up by span so the interval's window tuple stays unbuilt.
         states = self.window_states[level]
-        hwm = self._ws_hwm[level]
-        if states and hwm:
+        if states:
             ws_list = iv._ws
-            spans = iv.enclosing_spans
-            for pos in range(hwm):
-                ws_list[pos] = states.get(aligned_window_covering(lo, spans[pos]))
+            for pos, w_span in enumerate(iv.enclosing_spans):
+                ws_list[pos] = states.get(aligned_window_covering(lo, w_span))
         journal = self._journal
         if journal is not None:
             journal.append((OP_POP, table, index))
         elif self._abatch is not None and self._abatch.track:
             self._abatch.created.append((table, index))
         table[index] = iv
-        # Lower-occupied seed plus baseline fulfillments in one pass; a
-        # fresh interval has no assignments, so nothing can be revoked.
-        iv.materialize(lowered, self._empty_at, self._on_assign)
+        # Establish baseline fulfillments; a fresh interval has no
+        # assignments, so nothing can be revoked.
+        revoked = iv.rebalance(self._level_probes[level], self._empty_at,
+                               self._on_assign, self._on_release)
+        if revoked:  # pragma: no cover - impossible on a fresh interval
+            raise AssertionError("fresh interval revoked jobs")
         return iv
 
     def _make_level_probe(self, level: int) -> Callable[[int], JobId | None]:

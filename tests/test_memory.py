@@ -132,6 +132,9 @@ CONFIGS = [
     ("deamortized",
      lambda: ReservationScheduler(1, gamma=8, deamortized=True),
      span2_workload, drive_sequential),
+    ("deamortized-atomic",
+     lambda: ReservationScheduler(1, gamma=8, deamortized=True),
+     span2_workload, drive_atomic_with_abort),
     ("trim-off", lambda: ReservationScheduler(1, gamma=8, trim=False),
      churn, drive_sequential),
 ]

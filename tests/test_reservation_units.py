@@ -219,36 +219,3 @@ class TestInterval:
         wl = iv.waitlisted()
         assert wl[w64] == 101 - 32  # top priority takes full allowance
         assert sum(iv.target_fulfilled().values()) == 32
-
-
-def _interval_state(iv):
-    return (bytes(iv._lower), iv._n_lower, [sorted(s) for s in iv._aslots],
-            list(iv._owner), list(iv._counts), list(iv._free),
-            iv._target_list(), iv._stale)
-
-
-@pytest.mark.parametrize("level", [1, 2])
-@given(data=st.data())
-def test_materialize_equals_lowering_then_rebalance(level, data):
-    """The one-pass fresh fill gives exactly the state (and fires the
-    same hooks in the same order) as lowering each slot and running one
-    reconciliation."""
-    span = PAPER_POLICY.interval_span(level)
-    slots = list(range(span))
-    lowered = data.draw(st.lists(st.sampled_from(slots), unique=True))
-    occupied = set(data.draw(st.lists(st.sampled_from(slots), unique=True)))
-    occupied |= set(lowered)
-    fast, oracle = make_interval(level), make_interval(level)
-    published = data.draw(st.sets(st.integers(0, len(fast._ws) - 1)))
-    for iv in (fast, oracle):
-        for pos in published:
-            iv._ws[pos] = f"ws{pos}"
-    fired_fast, fired_oracle = [], []
-    fast.materialize(lowered, lambda s: s not in occupied,
-                     lambda ws, s: fired_fast.append((ws, s)))
-    for s in lowered:
-        oracle.slot_lowered(s)
-    assert oracle.rebalance(lambda s: None, lambda s: s not in occupied,
-                            lambda ws, s: fired_oracle.append((ws, s))) == []
-    assert _interval_state(fast) == _interval_state(oracle)
-    assert fired_fast == fired_oracle
