@@ -109,7 +109,7 @@ class ReservationScheduler(ReallocatingScheduler):
 
             def factory() -> ReallocatingScheduler:
                 return AlignedReservationScheduler(policy, journal=journal)
-        self.delegator = DelegatingScheduler(num_machines, factory)
+        self.delegator = self._own(DelegatingScheduler(num_machines, factory))
         #: per-batch memo of pre-aligned insert jobs (id -> queue)
         self._align_memo: dict[JobId, deque[Job]] = {}
 
@@ -235,8 +235,8 @@ class ReservationScheduler(ReallocatingScheduler):
             InsertJob(align_job(r.job)) if isinstance(r, InsertJob) else r
             for r in batch
         ])
-        inner = self.delegator.apply_batch_sharded(
-            aligned, record=False, semantics=semantics)
+        inner = self.delegator.apply_batch_sharded(aligned,
+                                                   semantics=semantics)
         if inner.failed:
             return BatchResult(
                 costs=[], net=None, size=len(batch), atomic=True,

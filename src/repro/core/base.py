@@ -37,11 +37,23 @@ What the batch amortizes is bookkeeping, not semantics:
   the per-request breakdown;
 - layers below the batch entry point suspend their own per-request cost
   finalization (diff + ledger record) — wrappers consume the raw
-  touched logs instead;
+  touched logs instead (owned children always do, see below);
 - with ``atomic=True``, rollback switches from the per-request undo
   journal to batch-scoped snapshot-on-first-touch: a mid-batch failure
   restores the exact pre-batch state (all-or-nothing), and successful
   batches skip the per-mutation journal entirely.
+
+One ledger
+----------
+Only the scheduler the caller drives finalizes costs. A wrapper marks
+every child scheduler it builds with :meth:`ReallocatingScheduler._own`;
+an owned sparse-costing child then publishes ``last_touched`` and
+nothing else — no diff, no :class:`RequestCost`, no ledger entry — on
+sequential requests exactly as inside a batch. The wrapper derives its
+own costs from the merged touched logs, so the top-level ledger is the
+only one, with one entry per request. A dense-costing child keeps
+finalizing (its wrapper reads the returned cost to learn what moved),
+and a scheduler driven on its own keeps its ledger.
 
 Failure semantics: non-atomic batches stop at the first failing
 request, roll that request back (per-request journal, as sequential
@@ -87,7 +99,7 @@ reports the error at its arrival position.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .costs import (EMPTY_IDS, BatchResult, CostLedger, RequestCost,
                     diff_placements, diff_touched)
@@ -100,6 +112,8 @@ from .requests import Batch, DeleteJob, InsertJob, Request
 #: bounds-equivalence contract (see the module docstring). Imported by
 #: the session backends and the CLI's argparse choices.
 BATCH_SEMANTICS = ("strict", "flexible")
+
+_S = TypeVar("_S", bound="ReallocatingScheduler")
 
 
 def resolve_batch_semantics(semantics: str) -> str:
@@ -182,6 +196,8 @@ class ReallocatingScheduler(abc.ABC):
     - Sparse-costing subclasses (``_sparse_costing = True``) must call
       :meth:`_log_touch` (or :meth:`_merge_touched`) before mutating any
       job's placement, including wrapped sub-schedulers' moves.
+    - Wrappers pass every child scheduler they build through
+      :meth:`_own`, so only the driven scheduler keeps a ledger.
     - Batch-aware wrappers override :meth:`_batch_begin` /
       :meth:`_batch_commit` / :meth:`_batch_restore` to propagate the
       batch context to inner schedulers, and
@@ -196,6 +212,11 @@ class ReallocatingScheduler(abc.ABC):
     #: subclasses that log touched placements (pre-request values) set
     #: this True to get O(reallocations) instead of O(n) cost diffing.
     _sparse_costing = False
+
+    #: set by :meth:`_own` on a wrapper's child: an owned sparse-costing
+    #: scheduler records no costs (the driven scheduler's ledger is the
+    #: only one)
+    _owned = False
 
     def __init__(self, num_machines: int = 1) -> None:
         if num_machines < 1:
@@ -239,6 +260,17 @@ class ReallocatingScheduler(abc.ABC):
     # ------------------------------------------------------------------
     # sparse costing support
     # ------------------------------------------------------------------
+    def _own(self, child: _S) -> _S:
+        """Adopt ``child`` as a sub-scheduler of this one and return it.
+
+        Wrappers call this on every child they build (at construction
+        and on rebuilds). An owned sparse-costing child skips cost
+        finalization on every request and only publishes
+        ``last_touched``; see "One ledger" in the module docstring.
+        """
+        child._owned = True
+        return child
+
     def _log_touch(self, job_id: JobId) -> None:
         """Record ``job_id``'s pre-request placement (first touch wins)."""
         t = self._touched
@@ -300,14 +332,16 @@ class ReallocatingScheduler(abc.ABC):
     def insert(self, job: Job) -> RequestCost | None:
         """Process an INSERTJOB request and return its measured cost.
 
-        Inside a batch, layers below the batch entry point suspend cost
-        finalization and return None — parents read ``last_touched``.
+        Owned sparse children, and sparse layers below a batch entry
+        point, suspend cost finalization and return None — parents read
+        ``last_touched``.
         """
         if job.id in self.jobs:
             raise InvalidRequestError(f"job {job.id!r} already active")
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = ctx is None or ctx.top or not sparse
+        costed = not sparse or (not self._owned
+                                and (ctx is None or ctx.top))
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()
@@ -349,8 +383,7 @@ class ReallocatingScheduler(abc.ABC):
     def delete(self, job_id: JobId) -> RequestCost | None:
         """Process a DELETEJOB request and return its measured cost.
 
-        Inside a batch, layers below the batch entry point suspend cost
-        finalization and return None — parents read ``last_touched``.
+        Suspends cost finalization exactly as :meth:`insert` does.
         """
         job = self.jobs.get(job_id)
         if job is None:
@@ -359,7 +392,8 @@ class ReallocatingScheduler(abc.ABC):
         max_span = self._max_span_cache
         ctx = self._batch
         sparse = self._sparse_costing
-        costed = ctx is None or ctx.top or not sparse
+        costed = not sparse or (not self._owned
+                                and (ctx is None or ctx.top))
         before = dict(self.placements) if (costed and not sparse) else None
         if sparse and (ctx is None or ctx.emit_touched):
             self._touched = self._touched_acquire()

@@ -59,14 +59,15 @@ def _failure_index(failure: tuple[int, ReproError]) -> int:
     return failure[0]
 
 
-def _changed_ids(sub: ReallocatingScheduler, cost: RequestCost,
+def _changed_ids(sub: ReallocatingScheduler, cost: RequestCost | None,
                  subject: JobId) -> tuple[JobId, ...]:
     """Ids whose placement a sub-request may have changed.
 
     A sparse sub-scheduler's ``last_touched`` names every job whose
-    placement it may have changed (batch mode suspends sub-costs, so
-    the touched log is the one signal available in both modes); a
-    non-sparse sub reports them via ``cost.subject`` +
+    placement it may have changed — the sub is owned, so it never
+    finalizes a cost (sequential or batched) and its ``cost`` is None:
+    the touched log is the one signal. A non-sparse sub keeps
+    finalizing and reports them via ``cost.subject`` +
     ``cost.rescheduled``. The request's subject is included explicitly
     — a trimming rebuild suspends its inner touched logs, so the
     triggering job may be absent from them. Shared by the live merge
@@ -76,6 +77,7 @@ def _changed_ids(sub: ReallocatingScheduler, cost: RequestCost,
     """
     changed = sub.last_touched
     if changed is None:
+        assert cost is not None  # dense subs always finalize
         return (cost.subject, *cost.rescheduled)
     if subject not in changed:
         return (subject, *changed)
@@ -370,7 +372,8 @@ class DelegatingScheduler(ReallocatingScheduler):
         scheduler_factory: Callable[[], ReallocatingScheduler],
     ) -> None:
         super().__init__(num_machines=num_machines)
-        self.machines = [scheduler_factory() for _ in range(num_machines)]
+        self.machines = [self._own(scheduler_factory())
+                         for _ in range(num_machines)]
         for i, sub in enumerate(self.machines):
             if sub.num_machines != 1:
                 raise ValueError(f"sub-scheduler {i} is not single-machine")
@@ -386,7 +389,7 @@ class DelegatingScheduler(ReallocatingScheduler):
     def placements(self) -> Mapping[JobId, Placement]:
         return self._placements
 
-    def _sync_machine(self, machine: int, cost: RequestCost,
+    def _sync_machine(self, machine: int, cost: RequestCost | None,
                       subject: JobId) -> None:
         """Mirror one sub-request's placement changes into the merged map.
 
@@ -634,7 +637,6 @@ class DelegatingScheduler(ReallocatingScheduler):
         self,
         requests: Batch | Iterable[Request],
         *,
-        record: bool = True,
         semantics: str = "strict",
     ) -> BatchResult:
         """Apply a burst by handing each machine's sub-batch to a worker.
@@ -654,8 +656,9 @@ class DelegatingScheduler(ReallocatingScheduler):
         phase, which is the only thing that mutates delegator-level
         state, never ran).
 
-        ``record=False`` suspends ledger recording, for wrapper layers
-        (alignment) that re-cost the burst against their own view.
+        An owned delegator (the facade's) records nothing: its wrapper
+        re-costs the burst against its own view and keeps the one
+        ledger.
 
         ``semantics="flexible"`` runs the joint burst planner first
         (:meth:`~repro.core.base.ReallocatingScheduler._plan_flexible`):
@@ -675,6 +678,7 @@ class DelegatingScheduler(ReallocatingScheduler):
                 f"{type(self).__name__} sub-schedulers do not support the "
                 "atomic batch contexts sharded bursts abort through"
             )
+        record = not self._owned
         if semantics == "flexible":
             flex = self._plan_flexible(batch)
             if flex is not None:

@@ -142,7 +142,7 @@ class ElasticScheduler(DelegatingScheduler):
                 "machine pool changes are not allowed inside a batch"
             )
         before = dict(self.placements)
-        self.machines.append(self._factory())
+        self.machines.append(self._own(self._factory()))
         self.num_machines += 1
         moves = self.balancer.grow()
         self._execute(moves)

@@ -99,7 +99,8 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.migrate_per_request = migrate_per_request
         self.journal_impl = journal = resolve_journal(journal)
         self.parity = 0
-        self.active = AlignedReservationScheduler(policy, journal=journal)
+        self.active = self._own(AlignedReservationScheduler(policy,
+                                                            journal=journal))
         self.incoming: AlignedReservationScheduler | None = None
         self.incoming_parity = 1
         #: job id -> parity of the inner scheduler holding it
@@ -202,8 +203,8 @@ class DeamortizedReservationScheduler(ReallocatingScheduler):
         self.n_star = new_n_star
         self.phases_started += 1
         self.incoming_parity = 1 - self.parity
-        self.incoming = AlignedReservationScheduler(self.policy,
-                                                    journal=self.journal_impl)
+        self.incoming = self._own(AlignedReservationScheduler(
+            self.policy, journal=self.journal_impl))
         ctx = self._batch
         if ctx is not None:
             # A phase opened mid-atomic-batch drains into a scheduler an

@@ -32,7 +32,16 @@ hashing anywhere on the mutation path:
 - ``_ws`` — the owning scheduler's per-position
   :class:`~repro.reservation.window_state.WindowState` cache, so the
   assignment hooks hand the scheduler the state object directly instead
-  of a Window to hash-look-up.
+  of a Window to hash-look-up. A fresh interval's cache starts all None
+  and needs no seeding: the scheduler publishes a window state only
+  after materializing every interval of its window, so no published
+  window encloses an interval that does not exist yet.
+
+Materialization is :meth:`seed_lower` plus one hooked :meth:`rebalance`,
+with the per-slot work in C where it can be: the free index starts as
+the allowance in one pass, and rebalance takes its top-up slots off the
+front of the free index with one slice update instead of a bisect-delete
+per assigned slot.
 
 The legacy Window-keyed mappings (``lower_occupied``, ``dynamic_res``,
 ``assigned``, ``slot_owner``) survive as derived read-only properties —
@@ -69,7 +78,8 @@ by :func:`~repro.reservation.journal.replay_entries`).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from itertools import compress
 from typing import Callable
 
 from ..core.job import JobId
@@ -82,6 +92,9 @@ from .journal import (
     OP_RELEASE,
     OP_SWAP,
 )
+
+#: ``bytes.translate`` table negating a 0/1 flag byte (``_lower`` -> free)
+_COMPLEMENT = bytes([1]) + bytes(255)
 
 
 class Interval:
@@ -364,25 +377,9 @@ class Interval:
 
     # ------------------------------------------------------------------
     # assignment primitives (keep slots, counts, free index, hooks, undo
-    # log consistent in one place)
+    # log consistent in one place; assignments are made only by
+    # rebalance's top-up loop, which updates the free index in bulk)
     # ------------------------------------------------------------------
-    def _do_assign(self, pos: int, slot: int,
-                   on_assign: Callable | None) -> None:
-        self._aslots[pos].add(slot)
-        self._owner[slot - self.lo] = pos
-        self._counts[pos] += 1
-        self._free_discard(slot)
-        # undo entry before the hook: the scheduler-side hook can raise
-        # (underallocation checks), and a raise between the mutation and
-        # the append would leave the assign invisible to rollback
-        log = self.undo_log
-        if log is not None:
-            log.append((OP_ASSIGN, self, pos, slot))
-        if on_assign is not None:
-            ws = self._ws[pos]
-            if ws is not None:
-                on_assign(ws, slot)
-
     def _undo_assign(self, pos: int, slot: int) -> None:
         self._aslots[pos].discard(slot)
         self._owner[slot - self.lo] = -1
@@ -397,8 +394,9 @@ class Interval:
         self._owner[slot - self.lo] = -1
         self._counts[pos] -= 1
         self._free_add(slot)
-        # undo entry before the hook, same ordering contract as
-        # _do_assign: a raising hook must find the release journaled
+        # undo entry before the hook: the scheduler-side hook can raise,
+        # and a raise between the mutation and the append would leave
+        # the release invisible to rollback
         log = self.undo_log
         if log is not None:
             log.append((OP_RELEASE, self, pos, slot))
@@ -494,11 +492,17 @@ class Interval:
     def seed_lower(self, slots: list[int]) -> None:
         """Seed lower-occupied membership at materialization time.
 
+        Only for a fresh interval that backs nothing yet, so the free
+        index is exactly the allowance — rebuilt in one C-level pass
+        over the complement of ``_lower``.
+
         Exempt from per-mutation journaling: the scheduler journals the
         materialization wholesale (an ``OP_POP`` dropping the interval
         from its table), so rollback discards the object rather than
         unwinding the seed.
         """
+        if any(self._counts):
+            raise ValueError("seed_lower needs an interval that backs nothing")
         lower = self._lower
         lo = self.lo
         added = 0
@@ -508,9 +512,8 @@ class Interval:
                 lower[i] = 1
                 added += 1
         self._n_lower += added
-        owner = self._owner
-        self._free = [s for s in range(lo, self.hi)
-                      if not lower[s - lo] and owner[s - lo] < 0]
+        self._free = list(compress(range(lo, self.hi),
+                                   lower.translate(_COMPLEMENT)))
         self._tvalid = False
         self._dirty_all = True
         self._stale = True
@@ -612,29 +615,55 @@ class Interval:
         # then slots under higher-level jobs. The scan stops as soon as
         # enough empty slots are found (they always rank first).
         if deficit:
+            free = self._free
             empties = []
             covered = []
-            for s in self._free:
+            for s in free:
                 if empty_at(s):
                     empties.append(s)
                     if len(empties) == deficit:
                         break
                 else:
                     covered.append(s)
+            # every assigned slot comes from the scanned prefix free[:k]
+            k = (bisect_right(free, empties[-1]) if len(empties) == deficit
+                 else len(free))
             pool = empties + covered
             fi = 0
-            for pos in deficit_pos:
-                need = target[pos] - counts[pos]
-                if need <= 0:
-                    continue
-                if fi + need > len(pool):  # pragma: no cover - defensive
-                    raise AssertionError(
-                        f"interval {self.index} (level {self.level}): target "
-                        "fulfillment exceeds allowance"
-                    )
-                for s in pool[fi:fi + need]:
-                    self._do_assign(pos, s, on_assign)
-                fi += need
+            lo = self.lo
+            owner = self._owner
+            ws_list = self._ws
+            log = self.undo_log
+            try:
+                for pos in deficit_pos:
+                    need = target[pos] - counts[pos]
+                    chunk = pool[fi:fi + need]
+                    if len(chunk) < need:  # pragma: no cover - defensive
+                        raise AssertionError(
+                            f"interval {self.index} (level {self.level}): "
+                            "target fulfillment exceeds allowance"
+                        )
+                    assigned = aslots[pos]
+                    ws = ws_list[pos] if on_assign is not None else None
+                    for s in chunk:
+                        assigned.add(s)
+                        owner[s - lo] = pos
+                        counts[pos] += 1
+                        # undo entry before the hook, as in _do_release
+                        if log is not None:
+                            log.append((OP_ASSIGN, self, pos, s))
+                        if ws is not None:
+                            on_assign(ws, s)
+                    fi += need
+            finally:
+                # One update of the scanned prefix instead of a
+                # bisect-delete per assignment: each slot in it was
+                # free, and exactly the ones assigned above are owned
+                # (all of them when every scanned slot was assigned).
+                if fi == k:
+                    del free[:k]
+                else:
+                    free[:k] = [s for s in free[:k] if owner[s - lo] < 0]
         self._stale = False
         return revoked
 

@@ -94,7 +94,7 @@ from ..core.exceptions import (
     UnderallocationError,
 )
 from ..core.job import Job, JobId, Placement
-from ..core.window import Window, aligned_window_covering
+from ..core.window import Window
 from ..levels.policy import LevelPolicy, PAPER_POLICY
 from .interval import Interval
 from .journal import (
@@ -981,27 +981,27 @@ class AlignedReservationScheduler(ReallocatingScheduler):
         iv = table.get(index)
         if iv is not None:
             return iv
-        span = self.policy.interval_span(level)
-        lo = index * span
-        iv = Interval(
-            level=level, index=index, lo=lo, hi=lo + span,
-            enclosing_spans=self._enclosing_spans[level],
-        )
+        shift = self._iv_shift[level]
+        lo = index << shift
+        block = range(lo, lo + (1 << shift))
+        iv = Interval(level=level, index=index, lo=lo, hi=block.stop,
+                      enclosing_spans=self._enclosing_spans[level])
+        # The occupancy test over the slot block runs in C (a keys-view
+        # intersection); Python only sees the occupied slots, a small
+        # minority under the underallocation the scheduler requires.
+        # seed_lower is order-free, so the set's order does not matter.
         slot_job = self.slot_job
         levels = self._job_levels
-        lowered = [s for s in iv.slots()
-                   if (occ := slot_job.get(s)) is not None
-                   and levels[occ] < level]
+        lowered = [s for s in slot_job.keys() & block
+                   if levels[slot_job[s]] < level]
         if lowered:
             iv.seed_lower(lowered)
-        # Seed the ladder cache from the already-published window states
-        # (fresh intervals start with every _ws entry None). Windows are
-        # looked up by span so the interval's window tuple stays unbuilt.
-        states = self.window_states[level]
-        if states:
-            ws_list = iv._ws
-            for pos, w_span in enumerate(iv.enclosing_spans):
-                ws_list[pos] = states.get(aligned_window_covering(lo, w_span))
+        # The ladder cache needs no seeding: a published window state
+        # materialized every interval of its window when it was made
+        # (_make_window_state), so no published window encloses an
+        # interval that did not exist yet, and a fresh interval's _ws
+        # entries are all correctly None. The validator's ladder-cache
+        # cross-check pins this.
         journal = self._journal
         if journal is not None:
             journal.append((OP_POP, table, index))

@@ -99,8 +99,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         self.n_star = min_n_star
         self.tracer = tracer if tracer is not None else NullTracer()
         self.journal_impl = journal = resolve_journal(journal)
-        self.inner = AlignedReservationScheduler(policy, tracer=self.tracer,
-                                                 journal=journal)
+        self.inner = self._own(AlignedReservationScheduler(
+            policy, tracer=self.tracer, journal=journal))
         self.rebuilds = 0
         #: journal entries recorded by inners replaced in rebuilds
         #: (``journal_entries_total`` folds the live inner back in)
@@ -161,8 +161,8 @@ class TrimmedReservationScheduler(ReallocatingScheduler):
         survivors = [job for jid, job in self.jobs.items()
                      if jid in self.inner.jobs]
         self._journal_entries_carry += self.inner.journal_entries_total
-        self.inner = AlignedReservationScheduler(self.policy, tracer=self.tracer,
-                                                 journal=self.journal_impl)
+        self.inner = self._own(AlignedReservationScheduler(
+            self.policy, tracer=self.tracer, journal=self.journal_impl))
         ctx = self._batch
         if ctx is not None:
             # Inside an atomic batch the fresh inner is ephemeral: an

@@ -17,13 +17,15 @@ import weakref
 import pytest
 
 from repro.core.api import ReservationScheduler
+from repro.core.costs import RequestCost
 from repro.core.job import Job
 from repro.core.requests import InsertJob
 from repro.core.window import Window
 from repro.reservation import AlignedReservationScheduler
 from repro.reservation.trimming import TrimmedReservationScheduler
 from repro.workloads import AlignedWorkloadConfig, random_aligned_sequence
-from repro.workloads.scenarios import churn_storm_sequence
+from repro.workloads.scenarios import (churn_storm_sequence,
+                                       steady_state_sequence)
 
 
 @pytest.fixture(autouse=True)
@@ -152,3 +154,20 @@ def test_dropped_stack_leaves_no_cyclic_garbage(name, factory, workload,
     del sched
     assert probe() is None
     assert gc.collect() == 0
+
+
+def live_request_costs() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is RequestCost)
+
+
+def test_live_request_costs_follow_the_top_ledger():
+    """Only the driven scheduler keeps a ledger: the wrappers' owned
+    children allocate no RequestCost, so the live ones are the top
+    ledger's entries plus a few in flight."""
+    seq = list(steady_state_sequence(requests=4000, num_machines=3, seed=0,
+                                     target_active=320))
+    before = live_request_costs()
+    sched = ReservationScheduler(3, gamma=8)
+    drive_sequential(sched, seq)
+    assert len(sched.ledger) == len(seq)
+    assert live_request_costs() - before <= len(sched.ledger) + 8

@@ -5,7 +5,7 @@ invariants) after every request, plus schedule feasibility.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     EventTracer,
@@ -340,3 +340,57 @@ class TestHistoryIndependence:
         assert shared
         for key in shared:
             assert f1[key] == f2[key]
+
+
+#: aligned windows the ladder-cache property draws from: spans 32 (level
+#: 0, at most one job each) and 64..2048 (levels 1 and 2, at most two
+#: each) inside four 2048-slot regions. Any window W then contains at
+#: most |W|/32 + |W|/16 jobs, so every drawn instance stays
+#: 8-underallocated.
+_LADDER_SPANS = (32, 64, 128, 256, 512, 1024, 2048)
+
+
+class TestLadderCache:
+    """``Interval._ws`` must mirror the published window states.
+
+    Window states are published on a window's first job and dropped on
+    its last; intervals materialize on first touch. The ladder cache of
+    a fresh interval starts empty because publishing a window
+    materializes all of its intervals first. Interleaving publishes,
+    unpublishes and first touches at levels 1 and 2 and running the
+    validator's ladder-cache cross-check after every request pins that.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    # level-1 and level-2 windows sharing intervals, a last-job delete
+    # that unpublishes one, then first touches in a fresh region
+    @example([(True, 0, 1, 0), (True, 0, 4, 0), (True, 0, 5, 0),
+              (True, 0, 0, 3), (False, 0, 0, 1), (True, 1, 4, 1),
+              (True, 1, 2, 9), (False, 0, 0, 0), (True, 0, 4, 1)])
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                              st.integers(0, len(_LADDER_SPANS) - 1),
+                              st.integers(0, 63)),
+                    min_size=1, max_size=40))
+    def test_ws_mirrors_published_states(self, ops):
+        s = AlignedReservationScheduler()
+        active: list[tuple[str, Window]] = []
+        count: dict[Window, int] = {}
+        for n, (insert, region, span_i, where) in enumerate(ops):
+            if not insert and active:
+                job_id, window = active.pop(where % len(active))
+                count[window] -= 1
+                s.delete(job_id)
+            else:
+                span = _LADDER_SPANS[span_i]
+                lo = region * 2048 + (where % (2048 // span)) * span
+                window = Window(lo, lo + span)
+                if count.get(window, 0) >= (1 if span == 32 else 2):
+                    continue
+                s.insert(Job(f"j{n}", window))
+                count[window] = count.get(window, 0) + 1
+                active.append((f"j{n}", window))
+            checked(s)
+        assert all(iv._ws[pos] is s.window_states[lv].get(w)
+                   for lv, table in s.intervals.items()
+                   for iv in table.values()
+                   for pos, w in enumerate(iv._windows))
